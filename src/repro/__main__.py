@@ -129,19 +129,13 @@ def _load(path: str):
 
 def cmd_run(args) -> int:
     module = _load(args.file)
-    layouts = None
-    if args.tier2:
-        from .interp import profile_and_plan
-
-        layouts = profile_and_plan(module, backend=args.backend,
-                                   max_instructions=args.max_instructions)
     if args.sparse_edges:
         from .analysis.conservation import static_placement
         from .profilers import create_profilers
         from .profilers.drive import execute_profilers
         run = execute_profilers(module, create_profilers(["edges-sparse"]),
                                 max_instructions=args.max_instructions,
-                                backend=args.backend, layouts=layouts)
+                                backend=args.backend)
         result = run.result
         counts = run.profiles["edges-sparse"]
         placements = [static_placement(func)
@@ -154,12 +148,9 @@ def cmd_run(args) -> int:
               f"{events} edge events reconstructed")
     else:
         result = run_module(module, max_instructions=args.max_instructions,
-                            backend=args.backend, layouts=layouts)
+                            backend=args.backend)
     print(f"return value: {result.return_value}")
     print(f"instructions: {result.instructions_executed}")
-    if layouts is not None:
-        promoted = ", ".join(sorted(layouts)) or "(none)"
-        print(f"tier-2 functions: {promoted}")
     return 0
 
 
@@ -524,12 +515,11 @@ def cmd_equiv(args) -> int:
     if args.suite or args.benchmarks:
         session = _suite_session(args.cache_dir, args)
         results = equiv_suite(session, _chosen_workloads(args.benchmarks),
-                              passes=passes, tier2=args.tier2)
+                              passes=passes)
     elif args.file:
         module = _load(args.file)
         results = [(args.file, label, report)
-                   for label, report in equiv_module(module, passes=passes,
-                                                     tier2=args.tier2)]
+                   for label, report in equiv_module(module, passes=passes)]
     else:
         raise CliError("equiv needs a FILE or --suite")
 
@@ -847,9 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--max-instructions", type=int, default=500_000_000)
     p_run.add_argument("--backend", **backend_kwargs)
-    p_run.add_argument("--tier2", action="store_true",
-                       help="profile first, then re-run with profile-"
-                            "guided tier-2 codegen for hot functions")
     p_run.add_argument("--sparse-edges", action="store_true",
                        help="count edges only on conservation probes and "
                             "reconstruct the full edge profile afterward")
@@ -959,10 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--passes", default="",
                          help="comma-separated subset of the optimizer "
                               "passes to validate (default: all six)")
-    p_equiv.add_argument("--tier2", action="store_true",
-                         help="also validate profile-guided tier-2 "
-                              "codegen (layouts derived from a tier-1 "
-                              "profiling pass)")
     p_equiv.add_argument("--cache-dir", default="results/.cache",
                          help="artifact cache directory for --suite "
                               "(empty = memory only)")

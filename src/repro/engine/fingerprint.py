@@ -41,7 +41,9 @@ from ..profiles.serialize import edge_profile_to_dict
 # 9: stale-profile matching -- stale cached profiles are remapped onto
 #    the recompiled module instead of discarded; new "remap" and
 #    "matchreport" stage kinds.
-CACHE_SCHEMA_VERSION = 9
+# 10: single compiled tier -- the "layout" stage kind is gone, and
+#    execution-stage and equiv keys no longer carry a layout selection.
+CACHE_SCHEMA_VERSION = 10
 
 _SEP = "\x1f"  # unit separator: cannot appear in the joined parts
 

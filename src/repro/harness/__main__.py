@@ -37,8 +37,7 @@ def build_session(jobs: int = 1, no_cache: bool = False,
                   verify: bool | None = None,
                   timeout: float | None = None,
                   retries: int = 2,
-                  profilers: tuple[str, ...] = (),
-                  profile_guided: bool = False) -> ProfilingSession:
+                  profilers: tuple[str, ...] = ()) -> ProfilingSession:
     """The session a CLI invocation drives everything through."""
     if no_cache:
         cache = ArtifactCache(memory=False)
@@ -46,8 +45,7 @@ def build_session(jobs: int = 1, no_cache: bool = False,
         cache = ArtifactCache(disk_dir=cache_dir or None)
     return ProfilingSession(cache=cache, jobs=jobs, backend=backend,
                             verify_plans=verify, timeout=timeout,
-                            retries=retries, profilers=profilers,
-                            profile_guided=profile_guided)
+                            retries=retries, profilers=profilers)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,11 +79,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="statically verify every instrumentation "
                              "plan before running it (or set "
                              "REPRO_VERIFY=1); fails fast on a bad plan")
-    parser.add_argument("--tier2", action="store_true",
-                        help="profile-guided tier-2 codegen: feed each "
-                             "workload's ground-truth edge profile back "
-                             "into the compiled backend (results are "
-                             "bit-identical; execution gets faster)")
     parser.add_argument("--equiv", action="store_true",
                         help="translation-validate every piece of "
                              "generated code before executing it (or set "
@@ -146,8 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                             cache_dir=args.cache_dir, backend=args.backend,
                             verify=True if args.verify else None,
                             timeout=args.timeout, retries=args.retries,
-                            profilers=profiler_names,
-                            profile_guided=args.tier2)
+                            profilers=profiler_names)
 
     start = time.time()
     if not args.quiet:

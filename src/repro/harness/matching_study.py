@@ -13,22 +13,17 @@ recovers on the new build, against two baselines:
 
 * **fresh** -- re-profile the edited module from scratch (upper bound);
 * **discard** -- what a fingerprint-keyed cache does today: the stale
-  profile is thrown away and tier-2 layout planning gets nothing.
+  profile is thrown away and every consumer of it gets nothing.
 
 Reported per workload: block/edge match coverage, the fraction of edge
 counts carried over matched edges, the edge-flow accuracy of the
-remapped profile against the edited module's own ground truth, how many
-Ball-Larus paths survived renaming, and tier-2 layout agreement (do the
-remapped counts derive the *same* layout plans as fresh counts?).  With
-``repeats > 0`` the study also times the edited module on the compiled
-backend under discard/remap/fresh layouts and reports the fraction of
-the fresh tier-2 speedup the remap recovers.
+remapped profile against the edited module's own ground truth, and how
+many Ball-Larus paths survived renaming.
 """
 
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -149,23 +144,6 @@ class MatchingRow:
     edge_accuracy: float
     paths_kept: int
     paths_dropped: int
-    layout_agreement: float
-    discard_mops: Optional[float] = None
-    remap_mops: Optional[float] = None
-    fresh_mops: Optional[float] = None
-
-    @property
-    def recovered_speedup(self) -> Optional[float]:
-        """Fraction of the fresh tier-2 speedup the remap recovers
-        (1.0 = as fast as fresh advice; None when untimed or when
-        tier 2 bought nothing to recover)."""
-        if self.fresh_mops is None or self.discard_mops is None \
-                or self.remap_mops is None:
-            return None
-        gain = self.fresh_mops - self.discard_mops
-        if gain <= 0:
-            return None
-        return (self.remap_mops - self.discard_mops) / gain
 
 
 def _edge_accuracy(remapped, fresh) -> float:
@@ -191,50 +169,11 @@ def _edge_accuracy(remapped, fresh) -> float:
     return 1.0 - distance / 2
 
 
-def _layout_agreement(new_module: Module, remapped, fresh) -> float:
-    """Do remapped counts plan the same tier-2 layouts as fresh ones?"""
-    from ..interp import derive_module_layouts
-
-    fresh_plans = derive_module_layouts(new_module, fresh)
-    remap_plans = derive_module_layouts(new_module, remapped)
-    names = set(fresh_plans) | set(remap_plans)
-    if not names:
-        return 1.0
-    same = sum(1 for n in names
-               if n in fresh_plans and n in remap_plans
-               and fresh_plans[n].fingerprint()
-               == remap_plans[n].fingerprint())
-    return same / len(names)
-
-
-def _ops_per_sec(module: Module, layouts, repeats: int) -> float:
-    """Best-of-N compiled-backend ops/sec (the bench.py measurement)."""
-    from ..interp import Machine
-
-    def once() -> tuple[float, int]:
-        machine = Machine(module, backend="compiled",
-                          layouts=layouts or None)
-        start = time.perf_counter()
-        result = machine.run()
-        return time.perf_counter() - start, result.instructions_executed
-
-    once()  # warm-up populates the codegen cache
-    best, instructions = min(once() for _ in range(max(1, repeats)))
-    return instructions / best
-
-
 def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
-                   session: Optional[ProfilingSession] = None,
-                   repeats: int = 0) -> MatchingRow:
-    """Remap one workload's profile across a seeded edit and measure.
-
-    With ``repeats == 0`` the study reports only the deterministic
-    metrics (coverage, retention, accuracy, layout agreement); with
-    ``repeats > 0`` it also wall-clock-times the edited module under
-    discard/remap/fresh tier-2 layouts.
-    """
-    from ..interp import derive_module_layouts
-
+                   session: Optional[ProfilingSession] = None
+                   ) -> MatchingRow:
+    """Remap one workload's profile across a seeded edit and measure
+    coverage, retention and accuracy."""
     session = session if session is not None else default_session()
     base = session.expand(workload, scale).baseline_module
     # Two builds of the same program under different edit seeds: blocks
@@ -261,7 +200,7 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
     matched_edges = sum(len(fm.edges) for fm in match.functions)
     old_edges = sum(fm.old_edges for fm in match.functions) or 1
 
-    row = MatchingRow(
+    return MatchingRow(
         benchmark=workload.name,
         old_blocks=old_blocks, new_blocks=new_blocks,
         block_coverage=matched_blocks / (old_blocks or 1),
@@ -269,45 +208,24 @@ def matching_study(workload: Workload, scale: int = 1, seed: int = 1,
         retained=result.stats.retained,
         edge_accuracy=_edge_accuracy(result.profile, fresh_profile),
         paths_kept=result.stats.mapped_paths,
-        paths_dropped=result.stats.dropped_paths,
-        layout_agreement=_layout_agreement(new_module, result.profile,
-                                           fresh_profile))
-    if repeats > 0:
-        fresh_layouts = derive_module_layouts(new_module, fresh_profile)
-        remap_layouts = derive_module_layouts(new_module, result.profile)
-        row.discard_mops = _ops_per_sec(new_module, None, repeats) / 1e6
-        row.remap_mops = _ops_per_sec(new_module, remap_layouts,
-                                      repeats) / 1e6
-        row.fresh_mops = _ops_per_sec(new_module, fresh_layouts,
-                                      repeats) / 1e6
-    return row
+        paths_dropped=result.stats.dropped_paths)
 
 
 def matching_table(workloads: list[Workload],
                    session: Optional[ProfilingSession] = None,
-                   scale: int = 1, seed: int = 1,
-                   repeats: int = 0) -> str:
+                   scale: int = 1, seed: int = 1) -> str:
     """Render the study as the harness table."""
     rows = []
-    timed = repeats > 0
     for workload in workloads:
         r = matching_study(workload, scale=scale, seed=seed,
-                           session=session, repeats=repeats)
-        cells = [r.benchmark, f"{r.old_blocks}->{r.new_blocks}",
-                 f"{r.block_coverage * 100:.0f}%",
-                 f"{r.edge_coverage * 100:.0f}%",
-                 f"{r.retained * 100:.0f}%",
-                 f"{r.edge_accuracy * 100:.0f}%",
-                 f"{r.layout_agreement * 100:.0f}%"]
-        if timed:
-            recovered = r.recovered_speedup
-            cells.append("n/a" if recovered is None
-                         else f"{recovered * 100:.0f}%")
-        rows.append(cells)
+                           session=session)
+        rows.append([r.benchmark, f"{r.old_blocks}->{r.new_blocks}",
+                     f"{r.block_coverage * 100:.0f}%",
+                     f"{r.edge_coverage * 100:.0f}%",
+                     f"{r.retained * 100:.0f}%",
+                     f"{r.edge_accuracy * 100:.0f}%"])
     headers = ["Benchmark", "Blocks", "Blk match", "Edge match",
-               "Retained", "Accuracy", "Layouts"]
-    if timed:
-        headers.append("Speedup rec.")
+               "Retained", "Accuracy"]
     return render_table(
         headers, rows,
         title=("Stale-profile matching: profile remapped across seeded "
@@ -318,12 +236,8 @@ def matching_rows_to_dict(rows: list[MatchingRow]) -> dict:
     """A JSON-safe report (the CI staleness artifact)."""
     payload = {row.benchmark: {
         key: value for key, value in asdict(row).items()
-        if key != "benchmark" and value is not None}
+        if key != "benchmark"}
         for row in rows}
-    for row in rows:
-        recovered = row.recovered_speedup
-        if recovered is not None:
-            payload[row.benchmark]["recovered_speedup"] = recovered
     retained = [row.retained for row in rows]
     accuracy = [row.edge_accuracy for row in rows]
     return {

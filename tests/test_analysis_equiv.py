@@ -104,8 +104,8 @@ class TestCodegenMutations:
     def test_specific_codes(self, vpr_module):
         # Spot-check that corruption families land in their namespaces.
         assert "E107" in _detect_codegen(vpr_module, "cg-drop-cost")[2]
-        # An inverted test parses (tier 2 emits ``if not ...`` on
-        # purpose) but decides the branch on the wrong polarity.
+        # An inverted test (``if not ...``) parses but decides the
+        # branch on the wrong polarity.
         assert "E103" in _detect_codegen(vpr_module, "cg-flip-branch")[2]
 
     def test_unknown_kind_rejected(self):
@@ -219,8 +219,8 @@ class TestRuntimeHook:
                 return s; }""")
         real = compiled._compiled_code
 
-        def corrupting(func, mod, spec, layout=None):
-            code, result = real(func, mod, spec, layout)
+        def corrupting(func, mod, spec):
+            code, result = real(func, mod, spec)
             source = mutate_source(result.source, "cg-swap-arith")
             assert source is not None
             bad = dataclasses.replace(result, source=source)

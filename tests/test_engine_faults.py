@@ -46,6 +46,7 @@ def test_spec_defaults():
     "kill-task=abc",        # non-integer index
     "delay-task=1:xx",      # non-float seconds
     "seed=1.5",             # non-integer seed
+    "codegen-fail=relax@2",  # an @ suffix would name no function
 ])
 def test_spec_errors(bad):
     with pytest.raises(FaultSpecError):
