@@ -13,7 +13,8 @@ the codegen cache), and writes ``BENCH_interp.json``:
       "mode": "plain",
       "workloads": {
         "mcf": {"instructions": ..., "tuple_ops_per_sec": ...,
-                 "compiled_ops_per_sec": ..., "speedup": ...},
+                 "compiled_ops_per_sec": ..., "speedup": ...,
+                 "segments_compiled": ..., "codegen_bytes": ...},
         ...
       },
       "geomean_speedup": ...,
@@ -25,7 +26,10 @@ Subsequent PRs diff this file to track the perf trajectory; CI runs
 backend is ever slower than the reference interpreter).
 ``--compare OLD.json`` diffs this run against a saved
 report and exits non-zero on any per-workload speedup regression beyond
-``--compare-tolerance`` percent.
+``--compare-tolerance`` percent.  ``segments_compiled`` (generated
+segments the compiled runs entered, hence compiled) and
+``codegen_bytes`` (their source size) are deterministic, so
+``--compare`` fails on any rise in either, with no tolerance.
 
 ``--profilers`` switches to the profiler-overhead benchmark instead:
 each registered (non-plan-bound) profiler plugin runs alone over the
@@ -66,10 +70,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.interp import Machine, VALID_BACKENDS  # noqa: E402
+from repro.interp.compiled import codegen_stats  # noqa: E402
 from repro.workloads import SUITE, get_workload  # noqa: E402
 
 # A branchy/loopy/call-heavy cross-section for the CI smoke gate.
 SMOKE_WORKLOADS = ("vpr", "mcf", "parser", "swim")
+
+
+# Deterministic per-workload counts that ``--compare`` gates exactly.
+EXACT_COUNTS = ("segments_compiled", "codegen_bytes")
 
 
 def ops_per_sec(module, backend: str, repeats: int, profile: bool,
@@ -104,11 +113,14 @@ def run_bench(names: list[str], scale: int, repeats: int, profile: bool,
                  for backend in VALID_BACKENDS}
         speedup = rates["compiled"][0] / rates["tuple"][0]
         speedups.append(speedup)
+        segments, source_bytes = codegen_stats(module)
         workloads[name] = {
             "instructions": rates["tuple"][1],
             "tuple_ops_per_sec": round(rates["tuple"][0], 1),
             "compiled_ops_per_sec": round(rates["compiled"][0], 1),
             "speedup": round(speedup, 3),
+            "segments_compiled": segments,
+            "codegen_bytes": source_bytes,
         }
         print(f"  {name:10s} tuple {rates['tuple'][0] / 1e6:7.2f} Mops/s"
               f"   compiled {rates['compiled'][0] / 1e6:7.2f} Mops/s   "
@@ -127,8 +139,9 @@ def run_bench(names: list[str], scale: int, repeats: int, profile: bool,
 
 def compare_reports(old: dict, new: dict, tolerance_pct: float
                     ) -> list[str]:
-    """Per-workload regressions of ``new`` vs ``old`` beyond the
-    tolerance (in percent); empty when nothing regressed."""
+    """Per-workload regressions of ``new`` vs ``old``: a speedup drop
+    beyond the tolerance (in percent), or any rise in a deterministic
+    codegen count; empty when nothing regressed."""
     problems: list[str] = []
     if old.get("mode") != new.get("mode") \
             or old.get("scale") != new.get("scale"):
@@ -148,6 +161,11 @@ def compare_reports(old: dict, new: dict, tolerance_pct: float
                 f"{name}: speedup regressed {was:.3f}x -> {now:.3f}x "
                 f"({(now / was - 1.0) * 100.0:+.1f}%, tolerance "
                 f"-{tolerance_pct:.0f}%)")
+        for count in EXACT_COUNTS:
+            if count in old_row and new_row[count] > old_row[count]:
+                problems.append(
+                    f"{name}: {count} rose {old_row[count]} -> "
+                    f"{new_row[count]} (deterministic; no tolerance)")
     return problems
 
 

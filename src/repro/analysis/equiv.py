@@ -59,7 +59,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 from ..cfg.dominators import compute_dominators
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_back_edges
-from ..interp.codegen import CodegenResult, ModeSpec, generate_source
+from ..interp.codegen import (CodegenResult, ModeSpec, SegmentCodegen,
+                              generate_source)
 from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Call, Instr, Jump, Ret
 from .diagnostics import Diagnostic, Report, Severity
@@ -559,7 +560,9 @@ class _CodegenChecker:
 
     # -- driving --------------------------------------------------------
 
-    def run(self) -> None:
+    def run(self, segment: Optional[int] = None) -> None:
+        """Check every segment of a whole-function module, or -- given
+        ``segment`` -- a module holding just that one segment."""
         mode = (f"profile={int(self.spec.profile)} "
                 f"trace={int(self.spec.trace)} "
                 f"listener={int(self.spec.listener)} "
@@ -567,19 +570,21 @@ class _CodegenChecker:
                 + (f" probes={len(self.spec.probes)}"
                    if self.spec.probes is not None else ""))
         try:
-            seg_defs, local_maps = self._parse_module()
+            seg_defs = self._parse_module()
         except _Unrecognized as exc:
             self.context = f"[{mode}]"
             self.fail("E101", str(exc))
             return
-        if len(seg_defs) != len(self.segments):
+        found = [seg_id for seg_id, _body, _locals in seg_defs]
+        expected = (list(range(len(self.segments))) if segment is None
+                    else [segment])
+        if found != expected:
             self.context = f"[{mode}]"
-            self.fail("E102", f"generated {len(seg_defs)} segments, IR "
+            self.fail("E102", f"generated segments {_fmt_ids(found)}, IR "
                               f"call boundaries imply "
-                              f"{len(self.segments)}")
+                              f"{_fmt_ids(expected)}")
             return
-        for seg_id, (body, local_map) in enumerate(zip(seg_defs,
-                                                       local_maps)):
+        for seg_id, body, local_map in seg_defs:
             bname, start = self.segments[seg_id]
             self.context = f"[{mode}] _seg_{seg_id} ({bname!r}+{start})"
             try:
@@ -587,19 +592,21 @@ class _CodegenChecker:
             except _Unrecognized as exc:
                 self.fail("E101", str(exc))
 
-    def _parse_module(self) -> tuple[list[list[ast.stmt]],
-                                     list[dict[str, str]]]:
+    def _parse_module(self) -> list[tuple[int, list[ast.stmt],
+                                          dict[str, str]]]:
+        """``(segment id, loop body, local array map)`` per generated
+        ``_seg_<id>`` def, in source order."""
         tree = ast.parse(self.result.source)
         if (len(tree.body) != 1
                 or not isinstance(tree.body[0], ast.FunctionDef)):
             raise _Unrecognized("module is not a single _make def")
         make = tree.body[0]
-        bodies: list[list[ast.stmt]] = []
-        local_maps: list[dict[str, str]] = []
+        out: list[tuple[int, list[ast.stmt], dict[str, str]]] = []
         for node in make.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
-            if node.name != f"_seg_{len(bodies)}":
+            prefix, _, digits = node.name.partition("_seg_")
+            if prefix or not digits.isdigit():
                 raise _Unrecognized(f"unexpected segment {node.name!r}")
             local_map: dict[str, str] = {}
             loop: Optional[ast.While] = None
@@ -620,9 +627,8 @@ class _CodegenChecker:
                     raise _Unrecognized("unexpected segment prologue")
             if loop is None:
                 raise _Unrecognized("segment without while-loop wrapper")
-            bodies.append(list(loop.body))
-            local_maps.append(local_map)
-        return bodies, local_maps
+            out.append((int(digits), list(loop.body), local_map))
+        return out
 
     # -- one segment ----------------------------------------------------
 
@@ -784,6 +790,12 @@ class _CodegenChecker:
                 return
 
 
+def _fmt_ids(ids: Sequence[int]) -> str:
+    if len(ids) > 4:
+        return f"{len(ids)} segments _seg_{ids[0]}..._seg_{ids[-1]}"
+    return "[" + ", ".join(f"_seg_{i}" for i in ids) + "]"
+
+
 def _fmt_ops(ops: Iterable[tuple]) -> str:
     return "; ".join(format_op(op) for op in ops) or "<empty>"
 
@@ -888,27 +900,34 @@ def check_profiler_codegen(module: Module, profilers: Sequence[object]
 
 
 # The runtime fail-fast hook: Machine(validate_codegen=True) routes every
-# compiled (function, mode) through here exactly once per process.
-_VALIDATED: "weakref.WeakKeyDictionary[Function, set]" = \
+# compiled (function, mode, segment) through here exactly once per
+# process.  An irreducible function maps to None: it is never checked.
+_VALIDATED: weakref.WeakKeyDictionary[
+    Function, Optional[set[tuple[ModeSpec, int]]]] = \
     weakref.WeakKeyDictionary()
 
 
-def check_generated(func: Function, module: Module, spec: ModeSpec,
-                    result: CodegenResult) -> None:
-    """Validate ``result`` (already generated for ``func`` x ``spec``)
-    and raise :class:`CodegenValidationError` on any error.  Verdicts
-    are cached per function x mode, so steady-state reruns are free."""
-    key = (spec.profile, spec.trace, spec.listener,
-           tuple(sorted(spec.hook_edges)),
-           None if spec.probes is None else tuple(sorted(spec.probes)))
-    done = _VALIDATED.setdefault(func, set())
-    if key in done:
+def check_generated(func: Function, module: Module,
+                    codegen: SegmentCodegen, segment: int,
+                    source: Optional[str] = None) -> None:
+    """Prove segment ``segment`` of ``codegen``'s specialisation of
+    ``func`` equivalent to the IR, raising
+    :class:`CodegenValidationError` on any error.  ``source`` is the
+    segment's module as :meth:`SegmentCodegen.segment_source` emits it
+    (emitted afresh when omitted).  Verdicts are cached per function x
+    mode x segment, so steady-state reruns are free."""
+    spec = codegen.spec
+    key = (spec, segment)
+    if func not in _VALIDATED:
+        _VALIDATED[func] = None if _is_irreducible(func.cfg) else set()
+    done = _VALIDATED[func]
+    if done is None or key in done:
         return
+    if source is None:
+        source = codegen.segment_source(func, module, segment)
     report = Report(title=f"codegen equivalence: {func.name}")
-    if _is_irreducible(func.cfg):
-        done.add(key)
-        return
-    _CodegenChecker(func, module, spec, result, report).run()
+    _CodegenChecker(func, module, spec, codegen.result(source),
+                    report).run(segment)
     if not report.ok:
         raise CodegenValidationError(report)
     done.add(key)

@@ -1,8 +1,8 @@
 """Python source generation for the compiled execution backend.
 
-Each sealed IR function is translated into generated Python source --
-compiled once with :func:`compile`/``exec`` -- and driven by the
-trampoline in :mod:`repro.interp.compiled`.  Register accesses become
+Each sealed IR function is translated, one *segment* at a time, into
+generated Python source that the trampoline in
+:mod:`repro.interp.compiled` drives.  Register accesses become
 constant-index list subscripts, block transitions become precomputed
 integer segment ids, and the observation channels (edge-profile
 counting, path tracing, edge hooks, the path listener) are *fused into
@@ -10,10 +10,10 @@ the block-exit code only when enabled*: a machine built without
 profiling emits no counting code at all, so the common fast path carries
 zero per-instruction or per-edge conditionals.
 
-The unit of generation is the *segment*: the run of instructions from a
-block start (or from a call-return point inside a block) up to the next
-call or the block terminator.  To keep control transfers off the
-trampoline, the emitter then chases the CFG from each segment's exit:
+A segment is the run of instructions from a block start (or from a
+call-return point inside a block) up to the next call or the block
+terminator.  To keep control transfers off the trampoline, the emitter
+then chases the CFG from each segment's exit:
 
 * jump/branch targets are **inlined** (code duplication, bounded by a
   per-segment instruction budget) so a whole loop iteration -- including
@@ -23,6 +23,18 @@ trampoline, the emitter then chases the CFG from each segment's exit:
   spin entirely inside one generated function;
 * calls, cycles through other blocks, and budget exhaustion fall back to
   returning a precomputed integer segment id to the trampoline.
+
+Generation is lazy at segment granularity.  :class:`SegmentCodegen`
+fixes everything one (function, mode) specialisation shares before any
+segment exists -- the dense edge order, the hook order, and the
+``_make`` parameter list, with global arrays numbered in IR order -- so
+:meth:`SegmentCodegen.segment_source` can emit any one segment on its
+own, as a module whose ``_make`` returns that segment's closure.  The
+backend emits and compiles a segment only when the trampoline first
+enters it; most segments never run.  :func:`generate_source` joins all
+segments into one module whose ``_make`` returns the whole tuple; it
+exists for the translation validator's whole-function checks and the
+codegen mutation gate.
 
 Instruction accounting lives in the generated code: every exit path adds
 its exact instruction count (a compile-time constant) to the shared
@@ -41,13 +53,13 @@ division, index wrapping, 0/1 comparisons, instruction counting, and
 traversal order of profile count -> hook -> tracer); the differential
 tests in ``tests/test_interp_backends.py`` hold the backend to that
 contract across the whole workload suite, and :mod:`repro.analysis.equiv`
-proves each generated module equivalent to its IR.
+proves each generated segment equivalent to its IR.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..cfg.loops import find_back_edges
@@ -56,7 +68,8 @@ from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
                                GlobalStore, Jump, Load, Mov, Ret, Select,
                                Store, UnOp)
 
-__all__ = ["ModeSpec", "CodegenResult", "generate_source", "INLINE_BUDGET"]
+__all__ = ["ModeSpec", "CodegenResult", "SegmentCodegen", "generate_source",
+           "INLINE_BUDGET"]
 
 # Extra instructions one segment may inline from successor blocks before
 # falling back to the trampoline.  Bounds generated-code size (inlined
@@ -81,9 +94,13 @@ class ModeSpec:
     probes: Optional[frozenset] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodegenResult:
-    """Generated source plus the tables the backend needs to wire it up."""
+    """Generated source plus the tables the backend needs to wire it up.
+
+    ``source`` is either the whole function (:func:`generate_source`)
+    or one segment (:meth:`SegmentCodegen.result`); the tables describe
+    the specialisation either way."""
 
     source: str
     # Dense edge order: edge_keys[i] is the (block, target) counted by
@@ -94,7 +111,6 @@ class CodegenResult:
     # Hooked edge keys in ``_h{i}`` parameter order.
     hook_edges: tuple[tuple[str, str], ...] = ()
     num_segments: int = 0
-    block_entry_seg: dict = field(default_factory=dict)
 
 
 # Straight-line templates; {d}/{a}/{b} are pre-rendered ``regs[K]``
@@ -126,26 +142,6 @@ _UN_TEMPLATES = {
 
 _LIMIT_CHECK = ("if _ic[0] > _lim[0]: "
                 "raise _err('instruction limit exceeded (%d)' % _lim[0])")
-
-
-class _Namer:
-    """Stable mangled names for arrays referenced by the function (IR
-    identifiers may shadow Python keywords or each other, so literal
-    names only ever appear as dict-key string constants)."""
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self.names: dict[str, str] = {}
-
-    def get(self, name: str) -> str:
-        mangled = self.names.get(name)
-        if mangled is None:
-            mangled = f"{self.prefix}{len(self.names)}"
-            self.names[name] = mangled
-        return mangled
-
-    def ordered(self) -> tuple[str, ...]:
-        return tuple(self.names)
 
 
 def _segment_ranges(func: Function) -> tuple[list[tuple[str, int]],
@@ -219,13 +215,76 @@ def function_geometry(func: Function) -> _Geometry:
     return geo
 
 
-class _FunctionEmitter:
-    """Emits the generated module for one function under one mode."""
+class SegmentCodegen:
+    """The emission state of one (function, mode) specialisation.
+
+    Everything the segments share is fixed here, before any segment is
+    emitted: the dense edge order, the ``_h{i}`` hook order, and the
+    ``_g{i}`` global-array order (first reference in IR block order).
+    So any one segment can be emitted on its own, and its code does not
+    depend on which other segments were emitted first.  Holds no
+    reference to the :class:`Function`: callers pass it to each
+    :meth:`segment_source`, and the backend caches instances in tables
+    weakly keyed by it.
+    """
+
+    __slots__ = ("spec", "edge_keys", "hook_order", "global_order",
+                 "num_segments", "header")
 
     def __init__(self, func: Function, module: Module, spec: ModeSpec):
+        geo = function_geometry(func)
+        self.spec = spec
+        self.edge_keys = tuple(geo.edge_index)
+        self.hook_order = {
+            key: i for i, key in enumerate(
+                sorted(spec.hook_edges, key=geo.edge_index.__getitem__))}
+        self.global_order: dict[str, int] = {}
+        for bname, start in geo.segments:
+            if start:
+                continue
+            for instr in func.cfg.blocks[bname].instructions:
+                if (isinstance(instr, (Load, Store))
+                        and instr.array not in func.arrays):
+                    self.global_order.setdefault(instr.array,
+                                                 len(self.global_order))
+        self.num_segments = len(geo.segments)
+        params = "".join(f", _g{i}" for i in range(len(self.global_order)))
+        params += "".join(f", _h{i}" for i in range(len(self.hook_order)))
+        self.header = (f"def _make(_div, _mod, _err, _ic, _lim, _gs, _pc, "
+                       f"_pl, _ec{params}):")
+
+    @property
+    def global_arrays(self) -> tuple[str, ...]:
+        return tuple(self.global_order)
+
+    @property
+    def hook_edges(self) -> tuple[tuple[str, str], ...]:
+        return tuple(self.hook_order)
+
+    def segment_source(self, func: Function, module: Module,
+                       seg_id: int) -> str:
+        """A module whose ``_make`` returns segment ``seg_id`` alone."""
+        lines = _FunctionEmitter(func, module, self).emit_segment(seg_id)
+        return "\n".join([self.header, *lines,
+                          f"    return _seg_{seg_id}", ""])
+
+    def result(self, source: str) -> CodegenResult:
+        """``source`` (one segment or all of them) with this
+        specialisation's tables."""
+        return CodegenResult(source=source, edge_keys=self.edge_keys,
+                             global_arrays=self.global_arrays,
+                             hook_edges=self.hook_edges,
+                             num_segments=self.num_segments)
+
+
+class _FunctionEmitter:
+    """Emits segments of one function under one specialisation."""
+
+    def __init__(self, func: Function, module: Module,
+                 codegen: SegmentCodegen):
         self.func = func
         self.module = module
-        self.spec = spec
+        self.spec = codegen.spec
         self.s = func.register_slots.__getitem__
         self.blocks = func.cfg.blocks
         geo = function_geometry(func)
@@ -234,12 +293,8 @@ class _FunctionEmitter:
         self.range_seg = geo.range_seg
         self.edge_index = geo.edge_index
         self.back_keys = geo.back_keys
-        self.local_names = _Namer("_l")
-        self.global_names = _Namer("_g")
-
-        self.hook_order: dict[tuple[str, str], int] = {}
-        for key in sorted(spec.hook_edges, key=self.edge_index.__getitem__):
-            self.hook_order[key] = len(self.hook_order)
+        self.hook_order = codegen.hook_order
+        self.global_order = codegen.global_order
 
         # Per-segment emission state.
         self.lines: list[str] = []
@@ -259,11 +314,18 @@ class _FunctionEmitter:
 
     def array_ref(self, name: str) -> tuple[str, int]:
         """(python name, length) for an array operand; records local
-        arrays so the segment prologue can hoist them."""
+        arrays so the segment prologue can hoist them.  IR identifiers
+        may shadow Python keywords or each other, so literal array names
+        only ever appear as dict-key string constants."""
         if name in self.func.arrays:
             self.used_locals.setdefault(name)
-            return self.local_names.get(name), self.func.arrays[name]
-        return self.global_names.get(name), self.module.global_arrays[name]
+            return self.local_name(name), self.func.arrays[name]
+        return (f"_g{self.global_order[name]}",
+                self.module.global_arrays[name])
+
+    def local_name(self, name: str) -> str:
+        """``_l{i}``: ``i`` is the array's declaration index."""
+        return f"_l{list(self.func.arrays).index(name)}"
 
     # -- instruction and edge emission ---------------------------------
 
@@ -402,39 +464,23 @@ class _FunctionEmitter:
         self.emit_range(bname, start, 0, 3, frozenset({bname}))
         out = [f"    def _seg_{seg_id}(frame, regs):"]
         out.extend(
-            f"        {self.local_names.get(name)} = "
+            f"        {self.local_name(name)} = "
             f"frame.arrays[{name!r}]" for name in self.used_locals)
         out.append("        while True:")
         out.extend(self.lines)
         return out
 
-    def emit_module(self) -> str:
-        body: list[str] = []
-        for seg_id in range(len(self.segments)):
-            body.extend(self.emit_segment(seg_id))
-        hook_params = "".join(f", _h{i}" for i in range(len(self.hook_order)))
-        global_params = "".join(
-            f", {self.global_names.names[n]}"
-            for n in self.global_names.ordered())
-        header = (f"def _make(_div, _mod, _err, _ic, _lim, _gs, _pc, _pl, "
-                  f"_ec{global_params}{hook_params}):")
-        footer = "    return ({})".format(
-            "".join(f"_seg_{i}, " for i in range(len(self.segments))))
-        return "\n".join([header, *body, footer, ""])
-
 
 def generate_source(func: Function, module: Module,
                     spec: ModeSpec) -> CodegenResult:
-    """Translate one sealed function into a compilable Python module."""
-    emitter = _FunctionEmitter(func, module, spec)
-    source = emitter.emit_module()
-    hook_keys = tuple(sorted(emitter.hook_order,
-                             key=emitter.hook_order.__getitem__))
-    return CodegenResult(
-        source=source,
-        edge_keys=tuple(emitter.edge_index),
-        global_arrays=emitter.global_names.ordered(),
-        hook_edges=hook_keys,
-        num_segments=len(emitter.segments),
-        block_entry_seg=emitter.block_entry,
-    )
+    """Every segment of one sealed function, joined into one module
+    whose ``_make`` returns the tuple of segment closures (the form the
+    translation validator and the mutation gate check whole)."""
+    codegen = SegmentCodegen(func, module, spec)
+    emitter = _FunctionEmitter(func, module, codegen)
+    body: list[str] = []
+    for seg_id in range(codegen.num_segments):
+        body.extend(emitter.emit_segment(seg_id))
+    footer = "    return ({})".format(
+        "".join(f"_seg_{i}, " for i in range(codegen.num_segments)))
+    return codegen.result("\n".join([codegen.header, *body, footer, ""]))

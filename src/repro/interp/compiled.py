@@ -1,12 +1,22 @@
 """The compiled-block execution backend.
 
 :class:`CompiledBackend` drives the Python source generated by
-:mod:`repro.interp.codegen`: each IR function becomes a tuple of segment
-closures (compiled once per machine, per observation mode, per hook
+:mod:`repro.interp.codegen`: each IR function becomes a list of segment
+closures (one list per machine, per observation mode, per hook
 attachment), and a small trampoline walks segment ids and an explicit
 frame stack -- so deep IR recursion never touches the Python stack, and
 ``max_instructions`` / cost accounting behave exactly like the tuple
 interpreter's.
+
+Lazy segments: a function's list starts as stubs.  The first time the
+trampoline enters a segment, its stub emits that one segment
+(:meth:`~repro.interp.codegen.SegmentCodegen.segment_source`), compiles
+it, binds the closure with the machine's ``_make`` arguments, replaces
+itself in the list, and runs it; later entries call the closure
+directly.  Compiled code (each segment's ``_make``) is cached
+process-wide per (function, mode, segment), so further machines over
+the same module compile nothing, and segments that never run are never
+generated.
 
 Instruction accounting is fused into the generated code: all segment
 closures of one machine share the ``_ic`` cell (a one-element list
@@ -20,11 +30,10 @@ Specialization and invalidation: the generated code fuses edge-profile
 counting, path tracing, the path listener, and edge hooks into block
 exits *only when enabled*.  Hooks are attached after machine
 construction (``run_with_plan`` builds the machine, then attaches a
-plan's instrumentation), so generation is lazy -- a function's code is
-built the first time it executes -- and every hook mutation bumps the
-owning :class:`~repro.interp.machine._CompiledFunction`'s
-``hooks_version``; stale code is dropped when the next run enters the
-trampoline.
+plan's instrumentation), so a function's segment list is built the
+first time it executes, and every hook mutation bumps the owning
+:class:`~repro.interp.machine._CompiledFunction`'s ``hooks_version``;
+the stale list is dropped when the next run enters the trampoline.
 
 Edge counts are accumulated in a dense per-function list indexed by
 static edge order (no per-traversal dict lookup) and folded back into
@@ -32,68 +41,104 @@ static edge order (no per-traversal dict lookup) and folded back into
 trampoline, keeping :class:`~repro.interp.machine.RunResult` identical
 across backends.
 
-Graceful degradation: if generation fails for a function (a codegen
-defect, or an injected ``codegen-fail`` fault), that function -- and
-only that function -- falls back to the reference tuple interpreter
-with a ``codegen-fallback`` :class:`~repro.engine.faults.DegradationEvent`.
-Because generated code is proven observationally equivalent to the IR,
-results are bit-identical either way.  Validation failures
-(``CodegenValidationError``) never degrade -- a proven miscompile must
-crash.
+Validation: with ``validate_codegen``, every segment is proven
+equivalent to its IR by :func:`repro.analysis.equiv.check_generated`
+before it first executes (verdicts are cached per function x mode x
+segment).  Validation failures (``CodegenValidationError``) never
+degrade -- a proven miscompile must crash.
+
+Graceful degradation: if setting up a function fails (an injected
+``codegen-fail`` fault, or a defect), that function -- and only that
+function -- runs on the reference tuple interpreter with a
+``codegen-fallback`` :class:`~repro.engine.faults.DegradationEvent`.  A
+defect that surfaces only when one segment is first entered records the
+same event, and the frame resumes on the tuple loop at that segment's
+block and instruction (the two backends share :class:`Frame`); any
+later entry of the broken segment does the same.  Because generated
+code is proven observationally equivalent to the IR, results are
+bit-identical either way.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import TYPE_CHECKING
 
-from .codegen import CodegenResult, ModeSpec, generate_source
+from .codegen import ModeSpec, SegmentCodegen, function_geometry
+# Not called here: the whole-function join serves validation only.  It
+# stays importable from this module, where perfbench/tracing.py wraps it.
+from .codegen import generate_source  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .machine import Machine, _CompiledFunction
+    from .machine import Frame, Machine, _CompiledFunction
 
 __all__ = ["CompiledBackend"]
 
-# Generated source depends only on the (immutable, sealed) function IR
-# and the observation mode -- never on machine state; the per-machine
-# bindings all arrive as ``_make`` arguments.  Cache the compiled code
-# object per function so the many machines the engine builds over one
-# module (ground truth, technique scoring, repeated runs) each skip
-# source generation and ``compile()``, which dominate first-run cost on
-# large branchy functions.
+
+class _LazyCode:
+    """One (function, mode) specialisation's process-wide code: its
+    emission state and, per segment, the compiled ``_make`` that binds
+    the segment's closure -- ``None`` until the segment first runs.
+    Holds no reference to the function, so the weakly keyed cache entry
+    dies with it."""
+
+    __slots__ = ("codegen", "makers", "source_bytes")
+
+    def __init__(self, codegen: SegmentCodegen):
+        self.codegen = codegen
+        self.makers: list = [None] * codegen.num_segments
+        self.source_bytes = 0  # emitted for the compiled segments
+
+
+# Generated code depends only on the (immutable, sealed) function IR and
+# the observation mode -- never on machine state; the per-machine
+# bindings all arrive as ``_make`` arguments.  So the compiled code of
+# each segment is cached per function and mode, and the many machines
+# the engine builds over one module (ground truth, technique scoring,
+# repeated runs) compile each segment at most once.
 _CODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _compiled_code(func, module, spec: ModeSpec):
+def _lazy_code(func, module, spec: ModeSpec) -> _LazyCode:
     per_func = _CODE_CACHE.get(func)
     if per_func is None:
-        per_func = {}
-        _CODE_CACHE[func] = per_func
-    entry = per_func.get(spec)
-    if entry is None:
-        result = generate_source(func, module, spec)
-        code = compile(result.source, f"<repro codegen {func.name}>", "exec")
-        entry = (code, result)
-        per_func[spec] = entry
-    return entry
+        per_func = _CODE_CACHE[func] = {}
+    lazy = per_func.get(spec)
+    if lazy is None:
+        lazy = per_func[spec] = _LazyCode(SegmentCodegen(func, module, spec))
+    return lazy
+
+
+def codegen_stats(module) -> tuple[int, int]:
+    """(segments compiled, bytes of source emitted for them) over every
+    specialisation of ``module``'s functions in this process."""
+    segments = source_bytes = 0
+    for func in module.functions.values():
+        for lazy in _CODE_CACHE.get(func, {}).values():
+            segments += sum(make is not None for make in lazy.makers)
+            source_bytes += lazy.source_bytes
+    return segments, source_bytes
 
 
 class _GeneratedFunction:
-    """One function's generated segment closures plus backing tables."""
+    """One function's segment list plus backing tables."""
 
-    __slots__ = ("name", "tables", "seg_fns", "edge_uids", "edge_counters",
-                 "hooks_version", "source")
+    __slots__ = ("name", "tables", "lazy", "make_args", "seg_fns",
+                 "edge_uids", "edge_counters", "hooks_version")
 
     def __init__(self, name: str, tables: "_CompiledFunction",
-                 seg_fns: tuple, edge_uids: tuple[int, ...],
-                 hooks_version: int, source: str):
+                 lazy: _LazyCode, make_args: tuple, counters: list,
+                 hooks_version: int):
         self.name = name
         self.tables = tables
-        self.seg_fns = seg_fns
-        self.edge_uids = edge_uids
-        self.edge_counters = [0] * len(edge_uids)
+        self.lazy = lazy
+        self.make_args = make_args
+        self.seg_fns: list = []
+        self.edge_uids = tuple(tables.edge_uid[key]
+                               for key in lazy.codegen.edge_keys)
+        self.edge_counters = counters  # the list the closures mutate
         self.hooks_version = hooks_version
-        self.source = source
 
 
 class CompiledBackend:
@@ -118,9 +163,9 @@ class CompiledBackend:
     # ------------------------------------------------------------------
 
     def function(self, name: str) -> "_GeneratedFunction | None":
-        """The up-to-date generated form of ``name`` (codegen on first
-        use and after any hook attachment), or ``None`` when the
-        function is degraded to the tuple interpreter."""
+        """The up-to-date segment list of ``name`` (set up on first use
+        and after any hook attachment), or ``None`` when the function
+        is degraded to the tuple interpreter."""
         from .machine import MachineError
 
         cf = self.machine.compiled.get(name)
@@ -132,20 +177,23 @@ class CompiledBackend:
         if gf is None or gf.hooks_version != cf.hooks_version:
             try:
                 gf = self._generate(name, cf)
-            except MachineError:
-                raise
             except Exception as exc:
-                from ..analysis.equiv import CodegenValidationError
-                if isinstance(exc, CodegenValidationError):
-                    raise  # a proven miscompile must crash, not degrade
-                self._degrade(name, exc)
+                self._degrade_or_raise(name, exc)
                 return None
         return gf
 
-    def _degrade(self, name: str, exc: Exception) -> None:
-        """Record a per-function fallback to the tuple interpreter."""
+    def _degrade_or_raise(self, name: str, exc: Exception) -> None:
+        """Record a per-function fallback to the tuple interpreter,
+        unless ``exc`` must propagate: runtime errors, and proven
+        miscompiles, which must crash rather than degrade."""
+        from ..analysis.equiv import CodegenValidationError
         from ..engine.faults import DegradationEvent, record_degradation
+        from .machine import MachineError
 
+        if isinstance(exc, (MachineError, CodegenValidationError)):
+            raise exc
+        if name in self._degraded:
+            return
         self._degraded.add(name)
         event = DegradationEvent(
             "codegen-fallback", name,
@@ -155,8 +203,8 @@ class CompiledBackend:
 
     def _generate(self, name: str,
                   cf: "_CompiledFunction") -> _GeneratedFunction:
-        """Generate ``name``; failures propagate to the caller, which
-        degrades the function to the tuple loop."""
+        """Set up ``name``'s segment list, all stubs; failures propagate
+        to the caller, which degrades the function to the tuple loop."""
         from ..engine.faults import maybe_fail_codegen
         from .machine import MachineError, _c_div, _c_mod
 
@@ -174,28 +222,60 @@ class CompiledBackend:
             hook_edges=frozenset(cf.hooks),
             probes=cf.probe_keys,
         )
-        code, result = _compiled_code(cf.func, machine.module, spec)
-        if machine.validate_codegen:
-            # Fail fast if the generated code is not provably equivalent
-            # to the IR; verdicts are cached per function x mode.
-            from ..analysis.equiv import check_generated
-            check_generated(cf.func, machine.module, spec, result)
-        namespace: dict = {}
-        exec(code, namespace)
-        counters = [0] * len(result.edge_keys)
-        globals_ = [machine.global_arrays[n] for n in result.global_arrays]
-        hooks = [cf.hooks[key] for key in result.hook_edges]
-        seg_fns = namespace["_make"](
+        lazy = _lazy_code(cf.func, machine.module, spec)
+        codegen = lazy.codegen
+        counters = [0] * len(codegen.edge_keys)
+        make_args = (
             _c_div, _c_mod, MachineError, self._ic, self._lim,
             machine.global_scalars, machine.path_counts[name],
-            machine.path_listener, counters, *globals_, *hooks)
-        gf = _GeneratedFunction(
-            name=name, tables=cf, seg_fns=seg_fns,
-            edge_uids=tuple(cf.edge_uid[key] for key in result.edge_keys),
-            hooks_version=cf.hooks_version, source=result.source)
-        gf.edge_counters = counters  # the list the closures mutate
+            machine.path_listener, counters,
+            *(machine.global_arrays[n] for n in codegen.global_arrays),
+            *(cf.hooks[key] for key in codegen.hook_edges))
+        gf = _GeneratedFunction(name, cf, lazy, make_args, counters,
+                                cf.hooks_version)
+        gf.seg_fns = [partial(self._first_entry, gf, seg_id)
+                      for seg_id in range(codegen.num_segments)]
         self.functions[name] = gf
         return gf
+
+    def _first_entry(self, gf: _GeneratedFunction, seg_id: int,
+                     frame: "Frame", regs: list) -> object:
+        """The stub of segment ``seg_id``: build the segment, put it in
+        the stub's place, and run it -- or, if building it fails, run
+        the rest of the frame on the tuple loop."""
+        if gf.name not in self._degraded:
+            try:
+                fn = self._segment_maker(gf, seg_id)(*gf.make_args)
+            except Exception as exc:
+                self._degrade_or_raise(gf.name, exc)
+            else:
+                gf.seg_fns[seg_id] = fn
+                return fn(frame, regs)
+        frame.block, frame.ip = function_geometry(
+            gf.tables.func).segments[seg_id]
+        return (self._tuple_call(gf.name, (), frame),)
+
+    def _segment_maker(self, gf: _GeneratedFunction, seg_id: int):
+        """Segment ``seg_id``'s ``_make``, compiled on first use in the
+        process and proven first when the machine validates."""
+        machine = self.machine
+        lazy, func = gf.lazy, gf.tables.func
+        make = lazy.makers[seg_id]
+        source = None
+        if make is None:
+            source = lazy.codegen.segment_source(func, machine.module,
+                                                 seg_id)
+        if machine.validate_codegen:
+            from ..analysis.equiv import check_generated
+            check_generated(func, machine.module, lazy.codegen, seg_id,
+                            source)
+        if make is None:
+            namespace: dict = {}
+            exec(compile(source, f"<repro codegen {func.name}>", "exec"),
+                 namespace)
+            make = lazy.makers[seg_id] = namespace["_make"]
+            lazy.source_bytes += len(source)
+        return make
 
     def _refresh(self) -> None:
         """Drop generated code whose hook set changed since the last
@@ -232,16 +312,18 @@ class CompiledBackend:
     # Execution
     # ------------------------------------------------------------------
 
-    def _tuple_call(self, name: str, args: tuple) -> object:
-        """Run one degraded function (and everything it calls) on the
-        reference tuple interpreter, keeping the shared instruction
-        counter coherent.  The tuple loop bills its own base cost."""
+    def _tuple_call(self, name: str, args: tuple,
+                    frame: "Frame | None" = None) -> object:
+        """Run one degraded function (and everything it calls) -- or the
+        rest of ``frame``, an activation of it -- on the reference tuple
+        interpreter, keeping the shared instruction counter coherent.
+        The tuple loop bills its own base cost."""
         machine = self.machine
         ic = self._ic
         machine.instructions_executed = ic[0]
         before = ic[0]
         try:
-            machine._execute_tuple(name, args)
+            machine._execute_tuple(name, args, frame)
         finally:
             ic[0] = machine.instructions_executed
             self._foreign += ic[0] - before

@@ -256,8 +256,9 @@ class Machine:
         over every piece of generated code before executing it, raising
         :class:`~repro.analysis.equiv.CodegenValidationError` on any
         mismatch.  ``None`` consults the ``REPRO_EQUIV`` environment
-        variable.  Only meaningful for the compiled backend; verdicts
-        are cached per function x mode, so steady state is free.
+        variable.  Only meaningful for the compiled backend; each
+        segment is proven before it first runs, and verdicts are cached
+        per function x mode x segment, so steady state is free.
     edge_probes:
         Optional ``{func name: frozenset of (block, target)}`` sparse
         counter placement from :mod:`repro.analysis.conservation`: with
@@ -386,7 +387,11 @@ class Machine:
             return
         self._execute_tuple(name, args)
 
-    def _execute_tuple(self, name: str, args: tuple) -> None:
+    def _execute_tuple(self, name: str, args: tuple,
+                       frame: Optional[Frame] = None) -> None:
+        """Run ``name`` to completion; with ``frame``, resume that
+        existing activation at ``frame.block``/``frame.ip`` instead of
+        calling ``name`` afresh."""
         compiled = self.compiled
         cm = self.cost_model
         costs = self.costs
@@ -398,7 +403,8 @@ class Machine:
         limit = self.max_instructions
 
         cf = compiled[name]
-        frame = self._new_frame(cf, args)
+        if frame is None:
+            frame = self._new_frame(cf, args)
         stack: list[tuple[Frame, _CompiledFunction]] = [(frame, cf)]
         executed_start = self.instructions_executed
         executed = executed_start

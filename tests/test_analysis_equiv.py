@@ -210,41 +210,77 @@ class TestRuntimeHook:
         assert Machine(module, validate_codegen=True).validate_codegen
 
     def test_corrupt_generation_raises(self, monkeypatch):
-        # Corrupt the generated source at the machine boundary and watch
-        # the fail-fast hook reject it before execution.
-        import repro.interp.compiled as compiled
+        # Corrupt each segment's source as it is emitted and watch the
+        # fail-fast hook reject it before it first executes.
+        from repro.interp.codegen import SegmentCodegen
 
         module = compile_source("""
             func main() { s = 0; s = s + 1; s = s + 2;
                 return s; }""")
-        real = compiled._compiled_code
+        real = SegmentCodegen.segment_source
 
-        def corrupting(func, mod, spec):
-            code, result = real(func, mod, spec)
-            source = mutate_source(result.source, "cg-swap-arith")
-            assert source is not None
-            bad = dataclasses.replace(result, source=source)
-            return compile(source, "<corrupt>", "exec"), bad
+        def corrupting(self, func, mod, seg_id):
+            source = real(self, func, mod, seg_id)
+            return mutate_source(source, "cg-swap-arith") or source
 
-        monkeypatch.setattr(compiled, "_compiled_code", corrupting)
+        monkeypatch.setattr(SegmentCodegen, "segment_source", corrupting)
         machine = Machine(module, validate_codegen=True,
                           backend="compiled")
         with pytest.raises(CodegenValidationError) as excinfo:
             machine.run()
         assert not excinfo.value.report.ok
 
+    def test_segments_compiled_unvalidated_are_proven_later(self,
+                                                           monkeypatch):
+        # A validating machine proves each segment before its first
+        # entry even when another machine already compiled it: the
+        # checker re-emits the source, so a corrupted emitter is caught.
+        from repro.interp.codegen import SegmentCodegen
+
+        module = compile_source("""
+            func main() { s = 0; s = s + 1; s = s + 2;
+                return s; }""")
+        Machine(module, backend="compiled").run()
+        real = SegmentCodegen.segment_source
+
+        def corrupting(self, func, mod, seg_id):
+            source = real(self, func, mod, seg_id)
+            return mutate_source(source, "cg-swap-arith") or source
+
+        monkeypatch.setattr(SegmentCodegen, "segment_source", corrupting)
+        with pytest.raises(CodegenValidationError):
+            Machine(module, validate_codegen=True,
+                    backend="compiled").run()
+
     def test_check_generated_caches_verdict(self):
+        from repro.interp.codegen import SegmentCodegen
+
         module = compile_source("func main() { return 3; }")
         func = module.functions["main"]
-        spec = standard_modes(func)[0]
-        result = generate_source(func, module, spec)
-        check_generated(func, module, spec, result)
+        codegen = SegmentCodegen(func, module, standard_modes(func)[0])
+        check_generated(func, module, codegen, 0,
+                        codegen.segment_source(func, module, 0))
         # Second call is served from the verdict cache: even a now-
-        # corrupted result is not re-examined (per-process fail-fast
-        # only pays once per function x mode).
-        bad = dataclasses.replace(
-            result, source="this is not python ((")
-        check_generated(func, module, spec, bad)
+        # corrupted segment is not re-examined (per-process fail-fast
+        # only pays once per function x mode x segment).
+        check_generated(func, module, codegen, 0, "this is not python ((")
+
+    def test_each_segment_proven_before_first_entry(self):
+        from repro.interp.codegen import SegmentCodegen
+
+        module = compile_source("""
+            func main() { s = 0; if (s > 5) { s = 7; } return s; }""")
+        func = module.functions["main"]
+        codegen = SegmentCodegen(func, module, standard_modes(func)[0])
+        assert codegen.num_segments > 1
+        # Segment 1 is proven on its own, so a corrupted segment 1 is
+        # still caught after segment 0's verdict was cached.
+        check_generated(func, module, codegen, 0)
+        bad = mutate_source(codegen.segment_source(func, module, 1),
+                            "cg-drop-cost")
+        assert bad is not None
+        with pytest.raises(CodegenValidationError):
+            check_generated(func, module, codegen, 1, bad)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ and results (return value, instruction counts, edge/path profiles, cost
 accounting) are bit-identical to a pure tuple run.
 """
 
+import functools
+
 import pytest
 
 from repro.engine import faults
@@ -65,26 +67,59 @@ def test_degraded_helper_keeps_the_rest_compiled():
     assert module.main in backend.functions       # still compiled
 
 
+def _break_segments(monkeypatch, func_name, broken):
+    """Make emission of ``func_name``'s segments in ``broken`` (all when
+    None) raise, as a genuine generator bug would."""
+    from repro.interp.codegen import SegmentCodegen
+
+    real = SegmentCodegen.segment_source
+
+    def broken_source(self, func, mod, seg_id):
+        if func.name == func_name and (broken is None or seg_id in broken):
+            raise RuntimeError("synthetic codegen defect")
+        return real(self, func, mod, seg_id)
+
+    monkeypatch.setattr(SegmentCodegen, "segment_source", broken_source)
+
+
 def test_real_codegen_defect_degrades_not_crashes(monkeypatch):
     # A genuine bug in source generation (not an injected fault) must
-    # also degrade that one function gracefully.
-    from repro.interp import compiled as compiled_mod
-
+    # also degrade that one function gracefully: here it surfaces when
+    # the trampoline first enters the entry segment.
     module = get_workload("mcf").compile(1)
     _machine, want = _run(module, "tuple")
-    real = compiled_mod.generate_source
-
-    def broken_generate(func, mod, spec):
-        if func.name == module.main:
-            raise RuntimeError("synthetic codegen defect")
-        return real(func, mod, spec)
-
-    monkeypatch.setattr(compiled_mod, "generate_source", broken_generate)
+    _break_segments(monkeypatch, module.main, None)
     machine, got = _run(module, "compiled")
     _assert_equal_runs(got, want)
     assert [(d.kind, d.subject) for d in machine.degradations] == \
         [("codegen-fallback", module.main)]
     assert "synthetic codegen defect" in machine.degradations[0].detail
+
+
+def test_defect_in_non_entry_segment_resumes_frame_on_tuple_loop(
+        monkeypatch):
+    # Only a segment entered mid-frame fails to emit: the frame has run
+    # compiled code up to it, and finishes on the tuple loop from that
+    # segment's block and instruction index.
+    probe = get_workload("crafty").compile(1)
+    probe_machine, _ = _run(probe, "compiled")
+    gf = probe_machine._backend_impl.functions[probe.main]
+    entered = [i for i, fn in enumerate(gf.seg_fns)
+               if not isinstance(fn, functools.partial)]
+    assert entered[0] == 0 and len(entered) > 1
+    # A fresh build of the same program, so no segment is cached yet.
+    module = get_workload("crafty").compile(1)
+    _machine, want = _run(module, "tuple")
+    _break_segments(monkeypatch, module.main, {entered[1]})
+    machine, got = _run(module, "compiled")
+    _assert_equal_runs(got, want)
+    assert [(d.kind, d.subject) for d in machine.degradations] == \
+        [("codegen-fallback", module.main)]
+    # The segments before the broken one still run compiled.
+    fns = machine._backend_impl.functions[module.main].seg_fns
+    assert not isinstance(fns[0], functools.partial)
+    assert isinstance(fns[entered[1]], functools.partial)
+    assert len(faults.drain_degradations()) == 1
 
 
 def test_no_fault_means_no_degradation():
