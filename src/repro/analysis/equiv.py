@@ -39,6 +39,7 @@ E104  ERROR    final register state differs
 E105  ERROR    effect/observation stream differs
 E107  ERROR    billed instruction cost differs
 E108  ERROR    segment terminal (goto/continue/call/return) differs
+E109  ERROR    proven segment source is not the text that was compiled
 E201  ERROR    pass changed a path's return value
 E202  ERROR    pass changed a path's effect stream
 E203  INFO     post-path took a branch the pre-path never decided
@@ -60,7 +61,7 @@ from ..cfg.dominators import compute_dominators
 from ..cfg.graph import ControlFlowGraph
 from ..cfg.loops import find_back_edges
 from ..interp.codegen import (CodegenResult, ModeSpec, SegmentCodegen,
-                              generate_source)
+                              generate_source, source_digest)
 from ..ir.function import Function, Module
 from ..ir.instructions import Branch, Call, Instr, Jump, Ret
 from .diagnostics import Diagnostic, Report, Severity
@@ -909,13 +910,16 @@ _VALIDATED: weakref.WeakKeyDictionary[
 
 def check_generated(func: Function, module: Module,
                     codegen: SegmentCodegen, segment: int,
-                    source: Optional[str] = None) -> None:
+                    source: Optional[str] = None,
+                    digest: Optional[bytes] = None) -> None:
     """Prove segment ``segment`` of ``codegen``'s specialisation of
     ``func`` equivalent to the IR, raising
     :class:`CodegenValidationError` on any error.  ``source`` is the
     segment's module as :meth:`SegmentCodegen.segment_source` emits it
-    (emitted afresh when omitted).  Verdicts are cached per function x
-    mode x segment, so steady-state reruns are free."""
+    (emitted afresh when omitted).  ``digest``, when given, is the
+    :func:`source_digest` of the text actually compiled; the proven
+    source must match it (``E109``).  Verdicts are cached per function
+    x mode x segment, so steady-state reruns are free."""
     spec = codegen.spec
     key = (spec, segment)
     if func not in _VALIDATED:
@@ -926,6 +930,12 @@ def check_generated(func: Function, module: Module,
     if source is None:
         source = codegen.segment_source(func, module, segment)
     report = Report(title=f"codegen equivalence: {func.name}")
+    if digest is not None and source_digest(source) != digest:
+        report.add(Diagnostic(
+            severity=Severity.ERROR, code="E109",
+            message=f"segment {segment}: re-emitted source differs from "
+                    f"the compiled code", function=func.name))
+        raise CodegenValidationError(report)
     _CodegenChecker(func, module, spec, codegen.result(source),
                     report).run(segment)
     if not report.ok:

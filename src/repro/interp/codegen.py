@@ -58,6 +58,7 @@ proves each generated segment equivalent to its IR.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -69,7 +70,7 @@ from ..ir.instructions import (BinOp, Branch, Call, Const, GlobalLoad,
                                Store, UnOp)
 
 __all__ = ["ModeSpec", "CodegenResult", "SegmentCodegen", "generate_source",
-           "INLINE_BUDGET"]
+           "source_digest", "INLINE_BUDGET"]
 
 # Extra instructions one segment may inline from successor blocks before
 # falling back to the trampoline.  Bounds generated-code size (inlined
@@ -213,6 +214,12 @@ def function_geometry(func: Function) -> _Geometry:
     if geo is None:
         geo = _GEOMETRY[func] = _Geometry(func)
     return geo
+
+
+def source_digest(source: str) -> bytes:
+    """sha256 of generated source: lets a later check confirm that a
+    re-emitted segment is the text that was compiled."""
+    return hashlib.sha256(source.encode()).digest()
 
 
 class SegmentCodegen:

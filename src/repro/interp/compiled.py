@@ -44,7 +44,9 @@ across backends.
 Validation: with ``validate_codegen``, every segment is proven
 equivalent to its IR by :func:`repro.analysis.equiv.check_generated`
 before it first executes (verdicts are cached per function x mode x
-segment).  Validation failures (``CodegenValidationError``) never
+segment).  A segment compiled earlier by a non-validating machine is
+re-emitted for the proof, and the re-emitted text must hash to the
+sha256 recorded when it was compiled.  Validation failures (``CodegenValidationError``) never
 degrade -- a proven miscompile must crash.
 
 Graceful degradation: if setting up a function fails (an injected
@@ -65,7 +67,8 @@ import weakref
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .codegen import ModeSpec, SegmentCodegen, function_geometry
+from .codegen import (ModeSpec, SegmentCodegen, function_geometry,
+                      source_digest)
 # Not called here: the whole-function join serves validation only.  It
 # stays importable from this module, where perfbench/tracing.py wraps it.
 from .codegen import generate_source  # noqa: F401
@@ -79,15 +82,17 @@ __all__ = ["CompiledBackend"]
 class _LazyCode:
     """One (function, mode) specialisation's process-wide code: its
     emission state and, per segment, the compiled ``_make`` that binds
-    the segment's closure -- ``None`` until the segment first runs.
-    Holds no reference to the function, so the weakly keyed cache entry
-    dies with it."""
+    the segment's closure and the digest of the source it was compiled
+    from -- both ``None`` until the segment first runs.  Holds no
+    reference to the function, so the weakly keyed cache entry dies
+    with it."""
 
-    __slots__ = ("codegen", "makers", "source_bytes")
+    __slots__ = ("codegen", "makers", "digests", "source_bytes")
 
     def __init__(self, codegen: SegmentCodegen):
         self.codegen = codegen
         self.makers: list = [None] * codegen.num_segments
+        self.digests: list = [None] * codegen.num_segments
         self.source_bytes = 0  # emitted for the compiled segments
 
 
@@ -266,14 +271,18 @@ class CompiledBackend:
             source = lazy.codegen.segment_source(func, machine.module,
                                                  seg_id)
         if machine.validate_codegen:
+            # A segment another machine compiled unproven is re-emitted
+            # by the checker, which also confirms the text it proves is
+            # the one compiled.
             from ..analysis.equiv import check_generated
             check_generated(func, machine.module, lazy.codegen, seg_id,
-                            source)
+                            source, lazy.digests[seg_id])
         if make is None:
             namespace: dict = {}
             exec(compile(source, f"<repro codegen {func.name}>", "exec"),
                  namespace)
             make = lazy.makers[seg_id] = namespace["_make"]
+            lazy.digests[seg_id] = source_digest(source)
             lazy.source_bytes += len(source)
         return make
 

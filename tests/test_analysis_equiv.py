@@ -234,7 +234,8 @@ class TestRuntimeHook:
                                                            monkeypatch):
         # A validating machine proves each segment before its first
         # entry even when another machine already compiled it: the
-        # checker re-emits the source, so a corrupted emitter is caught.
+        # checker re-emits the source, so a corrupted emitter is caught
+        # (the re-emitted text no longer matches the compiled digest).
         from repro.interp.codegen import SegmentCodegen
 
         module = compile_source("""
@@ -251,6 +252,25 @@ class TestRuntimeHook:
         with pytest.raises(CodegenValidationError):
             Machine(module, validate_codegen=True,
                     backend="compiled").run()
+
+    def test_proof_must_cover_the_compiled_text(self, monkeypatch):
+        # Re-emission that still proves equivalent, but is not the text
+        # an unvalidating machine compiled, fails on the digest alone.
+        from repro.interp.codegen import SegmentCodegen
+
+        module = compile_source("""
+            func main() { s = 0; s = s + 1; return s; }""")
+        Machine(module, backend="compiled").run()
+        real = SegmentCodegen.segment_source
+
+        def drifting(self, func, mod, seg_id):
+            return real(self, func, mod, seg_id) + "# drift\n"
+
+        monkeypatch.setattr(SegmentCodegen, "segment_source", drifting)
+        with pytest.raises(CodegenValidationError) as excinfo:
+            Machine(module, validate_codegen=True,
+                    backend="compiled").run()
+        assert [d.code for d in excinfo.value.report.errors()] == ["E109"]
 
     def test_check_generated_caches_verdict(self):
         from repro.interp.codegen import SegmentCodegen
