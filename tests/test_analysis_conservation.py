@@ -393,24 +393,6 @@ def _write_program(tmp_path):
     return str(path)
 
 
-def test_cli_conserve_file(tmp_path, capsys):
-    from repro.__main__ import main
-    assert main(["conserve", _write_program(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "conserve: 1 module: 1 ok, 0 failed" in out
-
-
-def test_cli_conserve_suite_json(capsys):
-    from repro.__main__ import main
-    assert main(["conserve", "--suite", "--benchmarks", "vpr",
-                 "--cache-dir", ""]) == 0
-    capsys.readouterr()
-    assert main(["conserve", "--suite", "--benchmarks", "vpr",
-                 "--cache-dir", "", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["command"] == "conserve" and payload["ok"]
-
-
 def test_cli_run_sparse_edges(tmp_path, capsys):
     from repro.__main__ import main
     path = _write_program(tmp_path)
