@@ -70,9 +70,17 @@ Subcommands
     matching sketch for later staleness recovery).  Stale inputs with
     an embedded sketch are remapped instead of rejected.
 
-``verify``, ``lint``, ``equiv``, ``conserve``, ``match``, and
-``profiles`` accept ``--json`` for a structured report (one JSON
-document on stdout) that CI can diff.
+The check commands ``verify``, ``lint``, ``equiv``, ``conserve`` and
+``match`` share their flags: a FILE (``OLD NEW`` for ``match``) or
+``--suite``, ``--benchmarks``, ``--cache-dir``, ``--json``,
+``--verbose``, ``--quiet``, ``--timeout``, ``--retries`` and
+``--chaos``.  ``verify``, ``equiv``, ``conserve`` and ``match --suite``
+run through one driver (:func:`_run_check`), so their ``--json``
+documents share one shape: ``command``, ``ok``, a count (``plans``,
+``checks`` or ``modules``), ``failed``, ``elapsed_s`` and ``reports``.
+``lint`` counts ``errors`` and ``warnings`` instead; ``profiles`` and
+single-file ``match`` also accept ``--json``.  Every such document is
+one JSON object on stdout that CI can diff.
 
 Examples::
 
@@ -98,7 +106,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from typing import TYPE_CHECKING, NamedTuple
 
+from .cli import (DEFAULT_CACHE_DIR, CliError, build_session,
+                  install_chaos, parse_profilers, parse_workloads,
+                  run_command)
 from .core import (build_estimated_profile, evaluate_accuracy,
                    measured_paths, plan_pp, plan_ppp, plan_tpp,
                    run_with_plan)
@@ -107,9 +120,12 @@ from .interp import run_module
 from .lang import compile_source
 from .profiles import save_edge_profile
 
+if TYPE_CHECKING:
+    from .analysis import Report
 
-class CliError(Exception):
-    """A user-facing error (bad file, syntax error, ...)."""
+# Technique name -> planner(module, edge_profile).
+_PLANNERS = {"pp": lambda module, _profile: plan_pp(module),
+             "tpp": plan_tpp, "ppp": plan_ppp}
 
 
 def _load(path: str):
@@ -184,11 +200,8 @@ def cmd_profile(args) -> int:
             save_edge_profile(fresh_profile, handle, embed_sketch=True)
         print(f"saved edge profile to {args.save_edge_profile}")
 
-    extra = _parse_profilers(getattr(args, "profilers", ""))
-    planner = {"pp": lambda: plan_pp(module),
-               "tpp": lambda: plan_tpp(module, edge_profile),
-               "ppp": lambda: plan_ppp(module, edge_profile)}
-    plan = planner[args.technique]()
+    extra = parse_profilers(args.profilers)
+    plan = _PLANNERS[args.technique](module, edge_profile)
     run = run_with_plan(plan, backend=args.backend, profilers=extra)
 
     print(f"\ntechnique: {args.technique.upper()}   "
@@ -225,16 +238,6 @@ def cmd_profile(args) -> int:
         print()
         _print_extra_profiles(run.profiles)
     return 0
-
-
-def _parse_profilers(spec: str) -> tuple[str, ...]:
-    if not spec:
-        return ()
-    from .profilers import parse_profiler_names
-    try:
-        return parse_profiler_names(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _print_extra_profiles(profiles: dict) -> None:
@@ -366,103 +369,108 @@ def _parse_techniques(spec: str) -> tuple[str, ...]:
     return techs
 
 
-def _suite_session(cache_dir: str, args=None):
-    from .engine import ArtifactCache, ProfilingSession
-    cache = (ArtifactCache(disk_dir=cache_dir) if cache_dir
-             else ArtifactCache())
-    timeout = getattr(args, "timeout", None)
-    retries = getattr(args, "retries", 2)
-    chaos = getattr(args, "chaos", "")
-    if chaos:
-        # Validate up front, then publish through the environment so
-        # forked worker processes observe the same fault plan.
-        import os
-        from .engine import faults
-        try:
-            plan = faults.FaultPlan.from_spec(chaos)
-        except faults.FaultSpecError as exc:
-            raise CliError(f"--chaos: {exc}") from exc
-        os.environ[faults.ENV_VAR] = plan.to_spec()
-        faults.install_plan(plan)
-    return ProfilingSession(cache=cache, timeout=timeout, retries=retries)
+def _check_inputs(args, command: str, suite, file=None):
+    """``suite(session, workloads)`` under ``--suite``/``--benchmarks``,
+    else ``file(module)`` on the FILE argument."""
+    if args.suite or args.benchmarks:
+        install_chaos(args.chaos)
+        session = build_session(cache_dir=args.cache_dir,
+                                timeout=args.timeout, retries=args.retries)
+        return suite(session, parse_workloads(args.benchmarks))
+    if file is not None and args.file:
+        return file(_load(args.file))
+    raise CliError(f"{command} needs a FILE or --suite")
 
 
-def _chosen_workloads(spec: str):
-    from .workloads import SUITE, get_workload
-    if not spec:
-        return list(SUITE)
-    try:
-        return [get_workload(n.strip()) for n in spec.split(",")
-                if n.strip()]
-    except KeyError as exc:
-        raise CliError(f"unknown benchmark {exc.args[0]!r}") from exc
+def _emit_json(doc: dict) -> None:
+    import json
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _plural(count: int, noun: str) -> str:
+    return f"{count} {noun}{'s' if count != 1 else ''}"
+
+
+class _Check(NamedTuple):
+    """One report a check command prints under ``label``; ``keys`` are
+    extra fields of its JSON entry."""
+
+    label: str
+    report: Report
+    keys: dict = {}
+
+
+def _titled(reports) -> list[_Check]:
+    return [_Check(report.title, report) for report in reports]
+
+
+def _run_check(args, command: str, noun: str, suite, file=None,
+               lead: str = "") -> int:
+    """Drive a check command: select and analyze its inputs (see
+    :func:`_check_inputs`; the callbacks return :class:`_Check` lists),
+    print the findings, one status line per report and a count line
+    opening with ``lead`` (default ``"<command>:"``) -- or one JSON
+    document -- and exit 1 when any report failed."""
+    from .analysis import Severity
+
+    start = time.time()
+    checks = _check_inputs(args, command, suite, file)
+    failed = sum(1 for check in checks if not check.report.ok)
+    if args.json:
+        _emit_json({
+            "command": command, "ok": not failed,
+            f"{noun}s": len(checks), "failed": failed,
+            "elapsed_s": round(time.time() - start, 3),
+            "reports": [dict(check.report.to_dict(), **check.keys)
+                        for check in checks],
+        })
+        return 1 if failed else 0
+    for label, report, _keys in checks:
+        for diag in report:
+            if diag.severity >= Severity.WARNING or args.verbose:
+                print(f"{label}: {diag.format()}")
+        if not args.quiet:
+            # A report titled by its label already names it.
+            head = "" if label == report.title else f"{label}: "
+            status = "FAIL" if not report.ok else "ok"
+            print(f"[{status}] {head}{report.summary()}")
+    print(f"{lead or command + ':'} {_plural(len(checks), noun)}: "
+          f"{len(checks) - failed} ok, {failed} failed "
+          f"({time.time() - start:.1f}s)")
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
-    import time
+    from .analysis import DEFAULT_PATH_CAP, verify_module_plan, verify_suite
 
-    from .analysis import (DEFAULT_PATH_CAP, Severity, verify_module_plan,
-                           verify_suite)
+    path_cap = DEFAULT_PATH_CAP if args.path_cap is None else args.path_cap
 
-    if args.path_cap is None:
-        args.path_cap = DEFAULT_PATH_CAP
-    start = time.time()
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        reports = verify_suite(session, _chosen_workloads(args.benchmarks),
-                               techniques=_parse_techniques(args.techniques),
-                               path_cap=args.path_cap)
-    elif args.file:
-        module = _load(args.file)
+    def suite(session, workloads):
+        return _titled(verify_suite(
+            session, workloads, techniques=_parse_techniques(args.techniques),
+            path_cap=path_cap))
+
+    def file(module):
         _actual, edge_profile, _rv = ground_truth(module)
-        planner = {"pp": lambda: plan_pp(module),
-                   "tpp": lambda: plan_tpp(module, edge_profile),
-                   "ppp": lambda: plan_ppp(module, edge_profile)}
         reports = []
         for tech in _parse_techniques(args.techniques):
-            report = verify_module_plan(planner[tech](),
-                                        path_cap=args.path_cap)
+            report = verify_module_plan(
+                _PLANNERS[tech](module, edge_profile), path_cap=path_cap)
             report.title = f"{args.file}/{tech}"
             reports.append(report)
-    else:
-        raise CliError("verify needs a FILE or --suite")
+        return _titled(reports)
 
-    failed = sum(1 for report in reports if not report.ok)
-    if args.json:
-        import json
-        print(json.dumps({
-            "command": "verify", "ok": not failed,
-            "plans": len(reports), "failed": failed,
-            "elapsed_s": round(time.time() - start, 3),
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2, sort_keys=True))
-        return 1 if failed else 0
-    for report in reports:
-        for diag in report:
-            if diag.severity >= Severity.WARNING or args.verbose:
-                print(f"{report.title}: {diag.format()}")
-        if not args.quiet:
-            status = "FAIL" if not report.ok else "ok"
-            print(f"[{status}] {report.summary()}")
-    plans = len(reports)
-    print(f"verified {plans} plan{'s' if plans != 1 else ''}: "
-          f"{plans - failed} ok, {failed} failed "
-          f"({time.time() - start:.1f}s)")
-    return 1 if failed else 0
+    return _run_check(args, "verify", "plan", suite, file, lead="verified")
 
 
 def cmd_lint(args) -> int:
     from .analysis import Severity, lint_module
 
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        modules = [(w.name, session.expand(w).module)
-                   for w in _chosen_workloads(args.benchmarks)]
-    elif args.file:
-        modules = [(args.file, _load(args.file))]
-    else:
-        raise CliError("lint needs a FILE or --suite")
-
+    modules = _check_inputs(
+        args, "lint",
+        lambda session, workloads: [(w.name, session.expand(w).module)
+                                    for w in workloads],
+        lambda module: [(args.file, module)])
     errors = warnings = 0
     results = []
     for name, module in modules:
@@ -472,14 +480,13 @@ def cmd_lint(args) -> int:
         errors += len(report.errors())
         warnings += len(report.warnings())
     if args.json:
-        import json
-        print(json.dumps({
+        _emit_json({
             "command": "lint",
             "ok": not (errors or (args.strict and warnings)),
             "errors": errors, "warnings": warnings,
             "reports": [dict(r.to_dict(), module=name)
                         for name, r in results],
-        }, indent=2, sort_keys=True))
+        })
     else:
         for name, report in results:
             for diag in report:
@@ -487,9 +494,9 @@ def cmd_lint(args) -> int:
                     print(f"{name}: {diag.format()}")
             if not args.quiet:
                 print(f"[{name}] {report.summary()}")
-        print(f"lint: {errors} error{'s' if errors != 1 else ''}, "
-              f"{warnings} warning{'s' if warnings != 1 else ''} across "
-              f"{len(modules)} module{'s' if len(modules) != 1 else ''}")
+        print(f"lint: {_plural(errors, 'error')}, "
+              f"{_plural(warnings, 'warning')} across "
+              f"{_plural(len(modules), 'module')}")
     if errors or (args.strict and warnings):
         return 1
     return 0
@@ -506,136 +513,59 @@ def _parse_passes(spec: str) -> tuple[str, ...]:
 
 
 def cmd_equiv(args) -> int:
-    import time
-
-    from .analysis import PASS_NAMES, Severity, equiv_module, equiv_suite
+    from .analysis import PASS_NAMES, equiv_module, equiv_suite
 
     passes = _parse_passes(args.passes) if args.passes else PASS_NAMES
-    start = time.time()
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        results = equiv_suite(session, _chosen_workloads(args.benchmarks),
-                              passes=passes)
-    elif args.file:
-        module = _load(args.file)
-        results = [(args.file, label, report)
-                   for label, report in equiv_module(module, passes=passes)]
-    else:
-        raise CliError("equiv needs a FILE or --suite")
 
-    failed = sum(1 for _n, _l, report in results if not report.ok)
-    if args.json:
-        import json
-        print(json.dumps({
-            "command": "equiv", "ok": not failed,
-            "checks": len(results), "failed": failed,
-            "elapsed_s": round(time.time() - start, 3),
-            "reports": [dict(report.to_dict(), module=name, check=label)
-                        for name, label, report in results],
-        }, indent=2, sort_keys=True))
-        return 1 if failed else 0
-    for name, label, report in results:
-        for diag in report:
-            if diag.severity >= Severity.WARNING or args.verbose:
-                print(f"{name}/{label}: {diag.format()}")
-        if not args.quiet:
-            status = "FAIL" if not report.ok else "ok"
-            print(f"[{status}] {name}/{label}: {report.summary()}")
-    checks = len(results)
-    print(f"equiv: {checks} check{'s' if checks != 1 else ''}: "
-          f"{checks - failed} ok, {failed} failed "
-          f"({time.time() - start:.1f}s)")
-    return 1 if failed else 0
+    def checks(results):
+        return [_Check(f"{name}/{label}", report,
+                       {"module": name, "check": label})
+                for name, label, report in results]
+
+    return _run_check(
+        args, "equiv", "check",
+        lambda session, workloads: checks(
+            equiv_suite(session, workloads, passes=passes)),
+        lambda module: checks(
+            (args.file, label, report)
+            for label, report in equiv_module(module, passes=passes)))
 
 
 def cmd_conserve(args) -> int:
-    import time
-
-    from .analysis import Severity, conserve_suite, verify_conservation
+    from .analysis import conserve_suite, verify_conservation
     from .analysis.conservation import DEFAULT_WALK_CAP
 
-    if args.walk_cap is None:
-        args.walk_cap = DEFAULT_WALK_CAP
-    start = time.time()
-    if args.suite or args.benchmarks:
-        session = _suite_session(args.cache_dir, args)
-        reports = conserve_suite(session, _chosen_workloads(args.benchmarks),
-                                 walk_cap=args.walk_cap)
-    elif args.file:
-        module = _load(args.file)
+    walk_cap = DEFAULT_WALK_CAP if args.walk_cap is None else args.walk_cap
+
+    def file(module):
         _actual, edge_profile, _rv = ground_truth(module)
         report = verify_conservation(module,
                                      profiles=edge_profile.functions,
-                                     walk_cap=args.walk_cap)
+                                     walk_cap=walk_cap)
         report.title = args.file
-        reports = [report]
-    else:
-        raise CliError("conserve needs a FILE or --suite")
+        return _titled([report])
 
-    failed = sum(1 for report in reports if not report.ok)
-    if args.json:
-        import json
-        print(json.dumps({
-            "command": "conserve", "ok": not failed,
-            "modules": len(reports), "failed": failed,
-            "elapsed_s": round(time.time() - start, 3),
-            "reports": [r.to_dict() for r in reports],
-        }, indent=2, sort_keys=True))
-        return 1 if failed else 0
-    for report in reports:
-        for diag in report:
-            if diag.severity >= Severity.WARNING or args.verbose:
-                print(f"{report.title}: {diag.format()}")
-        if not args.quiet:
-            status = "FAIL" if not report.ok else "ok"
-            print(f"[{status}] {report.summary()}")
-    modules = len(reports)
-    print(f"conserve: {modules} module{'s' if modules != 1 else ''}: "
-          f"{modules - failed} ok, {failed} failed "
-          f"({time.time() - start:.1f}s)")
-    return 1 if failed else 0
+    return _run_check(
+        args, "conserve", "module",
+        lambda session, workloads: _titled(
+            conserve_suite(session, workloads, walk_cap=walk_cap)),
+        file)
 
 
 def cmd_match(args) -> int:
-    import time
-
-    from .analysis import Severity
-
-    start = time.time()
     if args.suite or args.benchmarks:
         from .analysis import match_suite
-
-        session = _suite_session(args.cache_dir, args)
-        reports = match_suite(session, _chosen_workloads(args.benchmarks))
-        failed = sum(1 for report in reports if not report.ok)
-        if args.json:
-            import json
-            print(json.dumps({
-                "command": "match", "ok": not failed,
-                "checks": len(reports), "failed": failed,
-                "elapsed_s": round(time.time() - start, 3),
-                "reports": [r.to_dict() for r in reports],
-            }, indent=2, sort_keys=True))
-            return 1 if failed else 0
-        for report in reports:
-            for diag in report:
-                if diag.severity >= Severity.WARNING or args.verbose:
-                    print(f"{report.title}: {diag.format()}")
-            if not args.quiet:
-                status = "FAIL" if not report.ok else "ok"
-                print(f"[{status}] {report.summary()}")
-        checks = len(reports)
-        print(f"match: {checks} check{'s' if checks != 1 else ''}: "
-              f"{checks - failed} ok, {failed} failed "
-              f"({time.time() - start:.1f}s)")
-        return 1 if failed else 0
+        return _run_check(args, "match", "check",
+                          lambda session, workloads: _titled(
+                              match_suite(session, workloads)))
 
     if not (args.old and args.new):
         raise CliError("match needs OLD and NEW files, or --suite")
-    from .analysis import verify_match, verify_transfer
+    from .analysis import Severity, verify_match, verify_transfer
     from .analysis.match import match_modules
     from .analysis.transfer import remap_edge_profile
 
+    start = time.time()
     old_module = _load(args.old)
     new_module = _load(args.new)
     match = match_modules(old_module, new_module)
@@ -647,8 +577,7 @@ def cmd_match(args) -> int:
     ok = report_m.ok and report_t.ok
 
     if args.json:
-        import json
-        print(json.dumps({
+        _emit_json({
             "command": "match", "ok": ok,
             "old": args.old, "new": args.new,
             "identical": match.identical,
@@ -656,7 +585,7 @@ def cmd_match(args) -> int:
             "match": match.to_dict(),
             "reports": [report_m.to_dict(), report_t.to_dict()],
             "elapsed_s": round(time.time() - start, 3),
-        }, indent=2, sort_keys=True))
+        })
         return 0 if ok else 1
 
     print(f"match {args.old} -> {args.new}"
@@ -720,10 +649,9 @@ def cmd_profiles(args) -> int:
         diff = diff_edge_profiles(before, after,
                                   threshold=args.threshold)
         if args.json:
-            print(json.dumps(dict(diff.to_dict(), command="profiles-diff",
-                                  before=args.profiles[0],
-                                  after=args.profiles[1]),
-                             indent=2, sort_keys=True))
+            _emit_json(dict(diff.to_dict(), command="profiles-diff",
+                            before=args.profiles[0],
+                            after=args.profiles[1]))
         else:
             print(format_edge_diff(diff, limit=args.top))
         return 0
@@ -747,8 +675,7 @@ def cmd_profiles(args) -> int:
                               embed_sketch=args.embed_sketch)
         out["output"] = args.output
     if args.json:
-        print(json.dumps(dict(out, command="profiles-merge"), indent=2,
-                         sort_keys=True))
+        _emit_json(dict(out, command="profiles-merge"))
     else:
         suffix = f" ({remapped} remapped)" if remapped else ""
         print(f"merged {out['merged']} profiles{suffix}")
@@ -764,16 +691,7 @@ def cmd_serve(args) -> int:
 
     from .service import ProfilingServer, ProfilingService
 
-    if args.chaos:
-        import os
-
-        from .engine import faults
-        try:
-            plan = faults.FaultPlan.from_spec(args.chaos)
-        except faults.FaultSpecError as exc:
-            raise CliError(f"--chaos: {exc}") from exc
-        os.environ[faults.ENV_VAR] = plan.to_spec()
-        faults.install_plan(plan)
+    install_chaos(args.chaos)
 
     async def run() -> int:
         service = ProfilingService(
@@ -821,6 +739,30 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
                         help="deterministic fault-injection plan (or set "
                              "REPRO_FAULTS), e.g. "
                              "'seed=7,corrupt-write=trace:0'")
+
+
+def _add_check_options(parser: argparse.ArgumentParser, suite_help: str,
+                       file: bool = True,
+                       verbose_help: str = "also print informational "
+                                           "findings",
+                       quiet_help: str = "only print failures and the "
+                                         "final line") -> None:
+    """The FILE/suite selection, report and fault options every check
+    command (verify, lint, equiv, conserve, match) takes."""
+    if file:
+        parser.add_argument("file", nargs="?",
+                            help="a MiniC file (omit with --suite)")
+    parser.add_argument("--suite", action="store_true", help=suite_help)
+    parser.add_argument("--benchmarks", default="",
+                        help="comma-separated benchmark subset")
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                        help="artifact cache directory for --suite "
+                             "(empty = memory only)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit one structured JSON report on stdout")
+    parser.add_argument("--verbose", action="store_true", help=verbose_help)
+    parser.add_argument("--quiet", action="store_true", help=quiet_help)
+    _add_fault_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -881,106 +823,48 @@ def build_parser() -> argparse.ArgumentParser:
                              help="inspect or clear the artifact cache")
     p_cache.add_argument("action",
                          choices=("info", "verify", "gc", "clear"))
-    p_cache.add_argument("--dir", default="results/.cache",
+    p_cache.add_argument("--dir", default=DEFAULT_CACHE_DIR,
                          help="cache directory (default results/.cache)")
     p_cache.set_defaults(fn=cmd_cache)
 
     p_verify = sub.add_parser(
         "verify", help="statically verify instrumentation plans")
-    p_verify.add_argument("file", nargs="?",
-                          help="a MiniC file (omit with --suite)")
-    p_verify.add_argument("--suite", action="store_true",
-                          help="verify every workload-suite plan")
-    p_verify.add_argument("--benchmarks", default="",
-                          help="comma-separated benchmark subset")
+    _add_check_options(p_verify, "verify every workload-suite plan")
     p_verify.add_argument("--techniques", default="pp,tpp,ppp",
                           help="comma-separated subset of pp,tpp,ppp")
     p_verify.add_argument("--path-cap", type=int, metavar="N",
                           default=None,
                           help="enumeration cap before id sampling")
-    p_verify.add_argument("--cache-dir", default="results/.cache",
-                          help="artifact cache directory for --suite "
-                               "(empty = memory only)")
-    p_verify.add_argument("--json", action="store_true",
-                          help="emit one structured JSON report on stdout")
-    p_verify.add_argument("--verbose", action="store_true",
-                          help="also print informational findings")
-    p_verify.add_argument("--quiet", action="store_true",
-                          help="only print failures and the final line")
-    _add_fault_options(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_lint = sub.add_parser(
         "lint", help="run the dataflow-backed IR lint passes")
-    p_lint.add_argument("file", nargs="?",
-                        help="a MiniC file (omit with --suite)")
-    p_lint.add_argument("--suite", action="store_true",
-                        help="lint every expanded suite module")
-    p_lint.add_argument("--benchmarks", default="",
-                        help="comma-separated benchmark subset")
+    _add_check_options(p_lint, "lint every expanded suite module",
+                       quiet_help="only print findings and the final line")
     p_lint.add_argument("--warn-synthetic", action="store_true",
                         help="keep warnings in optimizer-inserted blocks "
                              "at full severity")
     p_lint.add_argument("--strict", action="store_true",
                         help="exit nonzero on warnings, not just errors")
-    p_lint.add_argument("--cache-dir", default="results/.cache",
-                        help="artifact cache directory for --suite "
-                             "(empty = memory only)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit one structured JSON report on stdout")
-    p_lint.add_argument("--verbose", action="store_true",
-                        help="also print informational findings")
-    p_lint.add_argument("--quiet", action="store_true",
-                        help="only print findings and the final line")
-    _add_fault_options(p_lint)
     p_lint.set_defaults(fn=cmd_lint)
 
     p_equiv = sub.add_parser(
         "equiv", help="translation-validate codegen and optimizer passes")
-    p_equiv.add_argument("file", nargs="?",
-                         help="a MiniC file (omit with --suite)")
-    p_equiv.add_argument("--suite", action="store_true",
-                         help="validate every workload-suite module")
-    p_equiv.add_argument("--benchmarks", default="",
-                         help="comma-separated benchmark subset")
+    _add_check_options(p_equiv, "validate every workload-suite module")
     p_equiv.add_argument("--passes", default="",
                          help="comma-separated subset of the optimizer "
                               "passes to validate (default: all six)")
-    p_equiv.add_argument("--cache-dir", default="results/.cache",
-                         help="artifact cache directory for --suite "
-                              "(empty = memory only)")
-    p_equiv.add_argument("--json", action="store_true",
-                         help="emit one structured JSON report on stdout")
-    p_equiv.add_argument("--verbose", action="store_true",
-                         help="also print informational findings")
-    p_equiv.add_argument("--quiet", action="store_true",
-                         help="only print failures and the final line")
-    _add_fault_options(p_equiv)
     p_equiv.set_defaults(fn=cmd_equiv)
 
     p_cons = sub.add_parser(
         "conserve",
         help="prove spanning-tree probe placements via flow conservation")
-    p_cons.add_argument("file", nargs="?",
-                        help="a MiniC file (omit with --suite)")
-    p_cons.add_argument("--suite", action="store_true",
-                        help="prove a placement for every suite function")
-    p_cons.add_argument("--benchmarks", default="",
-                        help="comma-separated benchmark subset")
+    _add_check_options(p_cons, "prove a placement for every suite function",
+                       verbose_help="also print informational findings "
+                                    "(per-function probe statistics)")
     p_cons.add_argument("--walk-cap", type=int, metavar="N", default=None,
                         help="entry-to-exit walk enumeration cap for the "
                              "round-trip proof (default 256)")
-    p_cons.add_argument("--cache-dir", default="results/.cache",
-                        help="artifact cache directory for --suite "
-                             "(empty = memory only)")
-    p_cons.add_argument("--json", action="store_true",
-                        help="emit one structured JSON report on stdout")
-    p_cons.add_argument("--verbose", action="store_true",
-                        help="also print informational findings "
-                             "(per-function probe statistics)")
-    p_cons.add_argument("--quiet", action="store_true",
-                        help="only print failures and the final line")
-    _add_fault_options(p_cons)
     p_cons.set_defaults(fn=cmd_conserve)
 
     p_match = sub.add_parser(
@@ -990,23 +874,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the MiniC file a profile was collected on")
     p_match.add_argument("new", nargs="?",
                          help="the edited MiniC file to transfer onto")
-    p_match.add_argument("--suite", action="store_true",
-                         help="prove the V7xx match/transfer checks over "
-                              "every suite workload")
-    p_match.add_argument("--benchmarks", default="",
-                         help="comma-separated benchmark subset")
+    _add_check_options(p_match, "prove the V7xx match/transfer checks over "
+                                "every suite workload", file=False,
+                       verbose_help="also print per-block anchors and "
+                                    "informational findings")
     p_match.add_argument("--backend", **backend_kwargs)
-    p_match.add_argument("--cache-dir", default="results/.cache",
-                         help="artifact cache directory for --suite "
-                              "(empty = memory only)")
-    p_match.add_argument("--json", action="store_true",
-                         help="emit one structured JSON report on stdout")
-    p_match.add_argument("--verbose", action="store_true",
-                         help="also print per-block anchors and "
-                              "informational findings")
-    p_match.add_argument("--quiet", action="store_true",
-                         help="only print failures and the final line")
-    _add_fault_options(p_match)
     p_match.set_defaults(fn=cmd_match)
 
     p_serve = sub.add_parser(
@@ -1031,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal", default="",
                          help="write-ahead journal path; replayed on "
                               "restart (default: no journal)")
-    p_serve.add_argument("--cache-dir", default="results/.cache",
+    p_serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                          help="artifact cache directory for workers "
                               "(empty = memory only)")
     p_serve.add_argument("--backend", **backend_kwargs)
@@ -1064,18 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # Output piped into a pager/head that closed early; not an error.
-        try:
-            sys.stdout.close()
-        except Exception:
-            pass
-        return 0
+    return run_command(args.fn, args)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import faults
 from .fingerprint import CACHE_SCHEMA_VERSION
@@ -253,11 +253,6 @@ class ArtifactCache:
             return None, 0
         return payload, schema
 
-    @classmethod
-    def _verified_payload(cls, raw: bytes) -> Optional[bytes]:
-        """The payload bytes, or ``None`` when the envelope fails."""
-        return cls._parse_envelope(raw)[0]
-
     def _mark_stale(self, path: Path, kind: str, schema: int) -> None:
         self.stats.of(kind).stale += 1
         log.warning(
@@ -329,6 +324,17 @@ class ArtifactCache:
         return sorted(p for p in self.disk_dir.iterdir()
                       if p.name.endswith(QUARANTINE_SUFFIX))
 
+    def _scan_disk(self) -> Iterator[tuple[Path, Optional[bytes], int]]:
+        """``(path, payload, schema)`` of every readable disk entry, as
+        :meth:`_parse_envelope` reads it (``None`` payload, schema 0 for
+        a malformed or corrupt envelope)."""
+        for path in self.disk_files():
+            try:
+                raw = path.read_bytes()
+            except OSError:
+                continue
+            yield (path, *self._parse_envelope(raw))
+
     def verify_disk(self) -> tuple[int, int, int]:
         """Checksum every disk entry; quarantine failures.
 
@@ -340,13 +346,8 @@ class ArtifactCache:
         execute anything during a sweep.
         """
         ok = quarantined = stale = 0
-        for path in self.disk_files():
+        for path, payload, schema in self._scan_disk():
             kind = path.name.split("-", 1)[0]
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                continue
-            payload, schema = self._parse_envelope(raw)
             if payload is None:
                 self._quarantine(path, kind, "checksum mismatch")
                 quarantined += 1
@@ -359,29 +360,15 @@ class ArtifactCache:
 
     def stale_files(self) -> list[Path]:
         """Intact disk entries written under an older schema version."""
-        out: list[Path] = []
-        for path in self.disk_files():
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                continue
-            payload, schema = self._parse_envelope(raw)
-            if payload is not None and schema != CACHE_SCHEMA_VERSION:
-                out.append(path)
-        return out
+        return [path for path, payload, schema in self._scan_disk()
+                if payload is not None and schema != CACHE_SCHEMA_VERSION]
 
     def schema_census(self) -> dict[int, int]:
         """Schema version -> number of intact disk entries carrying it
         (0 stands for malformed/corrupt envelopes)."""
         census: dict[int, int] = {}
-        for path in self.disk_files():
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                continue
-            payload, schema = self._parse_envelope(raw)
-            version = schema if payload is not None else 0
-            census[version] = census.get(version, 0) + 1
+        for _path, _payload, schema in self._scan_disk():
+            census[schema] = census.get(schema, 0) + 1
         return census
 
     def gc_disk(self) -> tuple[int, int]:

@@ -16,8 +16,9 @@ import argparse
 import sys
 import time
 
-from ..engine import ArtifactCache, ProfilingSession
-from ..workloads import SUITE, get_workload
+from ..cli import (DEFAULT_CACHE_DIR, build_session, install_chaos,
+                   parse_profilers, parse_workloads, run_command)
+from ..workloads import get_workload
 from . import (figure9, figure10, figure11, figure12, figure13,
                hpt_table, ifconvert_table, matching_table, metrics_table,
                net_table, one_at_a_time, profiler_table, sampling_table,
@@ -27,25 +28,6 @@ EXPERIMENTS = ("table1", "table2", "fig9", "fig10", "fig11", "fig12",
                "fig13", "oaat", "net", "superblocks", "ifconvert",
                "metrics", "sampling", "hpt", "profilers", "matching",
                "all")
-
-DEFAULT_CACHE_DIR = "results/.cache"
-
-
-def build_session(jobs: int = 1, no_cache: bool = False,
-                  cache_dir: str = DEFAULT_CACHE_DIR,
-                  backend: str | None = None,
-                  verify: bool | None = None,
-                  timeout: float | None = None,
-                  retries: int = 2,
-                  profilers: tuple[str, ...] = ()) -> ProfilingSession:
-    """The session a CLI invocation drives everything through."""
-    if no_cache:
-        cache = ArtifactCache(memory=False)
-    else:
-        cache = ArtifactCache(disk_dir=cache_dir or None)
-    return ProfilingSession(cache=cache, jobs=jobs, backend=backend,
-                            verify_plans=verify, timeout=timeout,
-                            retries=retries, profilers=profilers)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,32 +89,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write each rendering to DIR/<name>.txt")
     parser.add_argument("--json", metavar="FILE", default="",
                         help="dump all per-benchmark metrics as JSON")
-    args = parser.parse_args(argv)
+    return run_command(_run, parser.parse_args(argv))
 
-    if args.benchmarks:
-        workloads = [get_workload(n.strip())
-                     for n in args.benchmarks.split(",") if n.strip()]
-    else:
-        workloads = SUITE
 
+def _run(args) -> int:
+    workloads = parse_workloads(args.benchmarks)
     if args.equiv:
         # Resolved by every Machine (including the ones worker
         # processes build), exactly like REPRO_VERIFY.
         import os
         os.environ["REPRO_EQUIV"] = "1"
 
-    if args.chaos:
-        # Validate eagerly (a typo should fail before any work), then
-        # publish through the environment so forked worker processes
-        # observe the same plan.
-        import os
-        from ..engine import faults
-        plan = faults.FaultPlan.from_spec(args.chaos)
-        os.environ[faults.ENV_VAR] = plan.to_spec()
-        faults.install_plan(plan)
-
-    from ..profilers import parse_profiler_names
-    profiler_names = parse_profiler_names(args.profilers)
+    # Validate eagerly: a typo should fail before any work.
+    install_chaos(args.chaos)
+    profiler_names = parse_profilers(args.profilers)
     if args.sparse_edges and "edges-sparse" not in profiler_names:
         profiler_names += ("edges-sparse",)
     session = build_session(jobs=args.jobs, no_cache=args.no_cache,
@@ -149,10 +119,7 @@ def main(argv: list[str] | None = None) -> int:
                                 verbose=not args.quiet)
 
     wanted = ([args.experiment] if args.experiment != "all"
-              else ["table1", "table2", "fig9", "fig10", "fig11", "fig12",
-                    "fig13", "oaat", "net", "superblocks", "ifconvert",
-                    "metrics", "sampling", "hpt", "profilers",
-                    "matching"])
+              else EXPERIMENTS[:-1])
     renderers = {
         "table1": table1,
         "table2": table2,
